@@ -19,6 +19,7 @@ from .agents import (
     AgentState,
     Band,
     Instruction,
+    Plan,
     RuleKind,
     agent_step,
     controller_plan,
@@ -77,6 +78,7 @@ __all__ = [
     "Instruction",
     "LoadState",
     "Metrics",
+    "Plan",
     "Polynomial",
     "RuleKind",
     "Scenario",

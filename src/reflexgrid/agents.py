@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitConfig, LoadState, v_load_for_count
+from .circuit import CircuitConfig, v_load_for_count
 
 
 class RuleKind(enum.Enum):
@@ -132,6 +132,31 @@ class AgentState:
 class Instruction:
     agent_id: int
     action: Action
+
+
+# action of each plan code; -1 indexes the last entry
+_ACTION_OF_CODE = (Action.HOLD, Action.POSTPONE, Action.ADVANCE)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One controller decision per agent, as an int8 vector in agent-id
+    order: +1 postpone, -1 advance, 0 hold.
+
+    Iterating yields the equivalent ``Instruction`` per agent; the engine
+    reads ``actions`` directly.
+    """
+
+    actions: np.ndarray
+
+    def __iter__(self):
+        for i, code in enumerate(self.actions.tolist()):
+            yield Instruction(i, _ACTION_OF_CODE[code])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Plan):
+            return NotImplemented
+        return np.array_equal(self.actions, other.actions)
 
 
 def desired_load(config: AgentConfig, state: AgentState, t: int) -> bool:
@@ -242,25 +267,30 @@ def controller_plan(
     band: Band,
     config: CircuitConfig,
     v_source_now: float,
-    current_flex: LoadState,
-) -> list[Instruction]:
-    """Plan one instruction per agent to steer the bus toward nominal.
+    flex_on: np.ndarray,
+) -> Plan:
+    """Plan one action per agent to steer the bus toward nominal.
 
-    Picks the connected-load count whose predicted bus voltage is closest
-    to ``v_nominal`` (ties to the smaller count) and tells the excess
-    lowest-id connected agents to postpone, or the lowest-id disconnected
-    agents to advance.  If the predicted voltage at the current count is
-    already inside the band, everyone holds.
+    ``flex_on`` holds each agent's current flexible-load connection, in
+    agent-id order.  Picks the connected-load count whose predicted bus
+    voltage is closest to ``v_nominal`` (ties to the smaller count) and
+    tells the excess lowest-id connected agents to postpone, or the
+    lowest-id disconnected agents to advance.  If the predicted voltage at
+    the current count is already inside the band, everyone holds.
     """
     if sensed_v <= 0:
         raise ValueError(f"sensed voltage must be positive, got {sensed_v}")
     if not config.is_homogeneous:
         raise ValueError("controller planning requires identical branches")
     n = config.n_branches
-    n_on = current_flex.n_on
+    flex_on = np.asarray(flex_on, dtype=bool)
+    if flex_on.shape != (n,):
+        raise ValueError(f"flex_on has shape {flex_on.shape} for {n} branches")
+    n_on = int(np.count_nonzero(flex_on))
+    actions = np.zeros(n, dtype=np.int8)
 
     if band.contains(v_load_for_count(config, v_source_now, n_on)):
-        return [Instruction(i, Action.HOLD) for i in range(n)]
+        return Plan(actions)
 
     branch = config.branches[0]
     g_totals = n / branch.r_base + np.arange(n + 1) / branch.r_flex
@@ -268,13 +298,10 @@ def controller_plan(
     # argmin takes the first minimum, which is the tie-break toward fewer loads
     n_target = int(np.argmin(np.abs(predicted - v_nominal)))
 
-    actions = [Action.HOLD] * n
+    # the running count of selectable agents picks the k lowest ids among them
     if n_target < n_on:
-        chosen = [i for i in range(n) if current_flex.flex_on[i]][: n_on - n_target]
-        for i in chosen:
-            actions[i] = Action.POSTPONE
+        actions[flex_on & (np.cumsum(flex_on) <= n_on - n_target)] = 1
     elif n_target > n_on:
-        chosen = [i for i in range(n) if not current_flex.flex_on[i]][: n_target - n_on]
-        for i in chosen:
-            actions[i] = Action.ADVANCE
-    return [Instruction(i, a) for i, a in enumerate(actions)]
+        off = ~flex_on
+        actions[off & (np.cumsum(off) <= n_target - n_on)] = -1
+    return Plan(actions)

@@ -40,6 +40,10 @@ class CircuitConfig:
         if len(self.branches) < 1:
             raise ValueError("at least one branch is required")
         object.__setattr__(self, "branches", tuple(self.branches))
+        # planner and prediction consult this every control step; branches
+        # are frozen, so one comparison at construction suffices
+        first = self.branches[0]
+        object.__setattr__(self, "_homogeneous", all(b == first for b in self.branches))
 
     @staticmethod
     def homogeneous(n: int, r_source: float, r_base: float, r_flex: float) -> "CircuitConfig":
@@ -51,8 +55,7 @@ class CircuitConfig:
 
     @property
     def is_homogeneous(self) -> bool:
-        first = self.branches[0]
-        return all(b == first for b in self.branches)
+        return self._homogeneous
 
     def base_conductances(self) -> np.ndarray:
         return np.array([1.0 / b.r_base for b in self.branches])
@@ -70,10 +73,6 @@ class LoadState:
     @staticmethod
     def of(flags: Sequence[bool]) -> "LoadState":
         return LoadState(tuple(bool(f) for f in flags))
-
-    @property
-    def n_on(self) -> int:
-        return sum(self.flex_on)
 
 
 @dataclass(frozen=True)

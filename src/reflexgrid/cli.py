@@ -121,7 +121,10 @@ def _cmd_run(args) -> int:
     scenario = bundle.scenario
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    if args.record_shifts:
+    # the flag or the file's ``record_shifts = true`` adds shift columns; the
+    # default (auto) may record shifts but never widens the CSV
+    include_shifts = args.record_shifts or scenario.record_shifts is True
+    if include_shifts:
         scenario = replace(scenario, record_shifts=True)
 
     try:
@@ -129,7 +132,7 @@ def _cmd_run(args) -> int:
         window = _metrics_window(scenario)
         metrics = compute_metrics(trace, scenario.band, window)
         if args.csv:
-            write_trace_csv(trace, args.csv, include_shifts=args.record_shifts)
+            write_trace_csv(trace, args.csv, include_shifts=include_shifts)
         if args.svg:
             d = scenario.disturbance
             shade = (d.t_start, d.t_end) if d.t_end > d.t_start else None

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .agents import Action, AgentConfig, Band, RuleKind, controller_plan
+from .agents import AgentConfig, Band, RuleKind, controller_plan
 from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
 
 _RULE_CODES = {
@@ -92,6 +92,8 @@ class Scenario:
         ids = [a.agent_id for a in self.agents]
         if ids != list(range(len(self.agents))):
             raise ValueError("agents must have distinct ids 0..N-1 in order")
+        if self.controller is not None and not self.circuit.is_homogeneous:
+            raise ValueError("a controller requires identical circuit branches")
         object.__setattr__(self, "agents", tuple(self.agents))
 
     @property
@@ -212,20 +214,8 @@ def run(scenario: Scenario) -> Trace:
         sensed = trace_v[t - delay] if t >= delay else v_init
 
         if ctrl is not None and t % ctrl.control_interval == 0:
-            plan = controller_plan(
-                sensed,
-                ctrl.v_nominal,
-                ctrl.band,
-                scenario.circuit,
-                vs,
-                LoadState.of(flex_on.tolist()),
-            )
-            pending[:] = 0
-            for ins in plan:
-                if ins.action is Action.POSTPONE:
-                    pending[ins.agent_id] = 1
-                elif ins.action is Action.ADVANCE:
-                    pending[ins.agent_id] = -1
+            plan = controller_plan(sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on)
+            pending[:] = plan.actions
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
         if fast_reactive:

@@ -112,9 +112,7 @@ def run_reference(scenario: Scenario) -> Trace:
         sensed = float(v_load[t - delay]) if t >= delay else v_init
 
         if ctrl is not None and t % ctrl.control_interval == 0:
-            plan = controller_plan(
-                sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, LoadState.of(flex_on)
-            )
+            plan = controller_plan(sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on)
             for ins in plan:
                 states[ins.agent_id] = deposit_instruction(states[ins.agent_id], ins.action)
 

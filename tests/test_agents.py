@@ -1,6 +1,8 @@
 """Decision rules, the cycle machine, and the central planner."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reflexgrid.agents import (
     Action,
@@ -14,7 +16,7 @@ from reflexgrid.agents import (
     deposit_instruction,
     desired_load,
 )
-from reflexgrid.circuit import CircuitConfig, LoadState
+from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 
 
 def cfg(rule=RuleKind.REACTIVE, period=10, on_steps=5, phase=0, v_low=9.0, v_high=9.2,
@@ -226,44 +228,40 @@ class TestLatchedProbabilistic:
 
 class TestControllerPlan:
     def setup_method(self):
-        from reflexgrid.circuit import v_load_for_count
-
         self.config = CircuitConfig.homogeneous(10, 0.08, 100.0, 50.0)
         self.v_nominal = v_load_for_count(self.config, 10.0, 5)
         self.band = Band(self.v_nominal * 0.998, self.v_nominal * 1.002)
 
     def test_in_band_prediction_holds_everyone(self):
-        flex = LoadState.of([True] * 5 + [False] * 5)
+        flex = np.array([True] * 5 + [False] * 5)
         plan = controller_plan(self.v_nominal, self.v_nominal, self.band, self.config, 10.0, flex)
         assert all(ins.action is Action.HOLD for ins in plan)
         assert [ins.agent_id for ins in plan] == list(range(10))
 
     def test_postpones_lowest_id_connected_agents(self):
         # sagged source: fewer loads should stay connected
-        flex = LoadState.of([True, False] * 5)
+        flex = np.array([True, False] * 5)
         v_source = 9.0
         plan = controller_plan(8.0, self.v_nominal, self.band, self.config, v_source, flex)
         # independent target search
-        from reflexgrid.circuit import v_load_for_count
-
         distances = [abs(v_load_for_count(self.config, v_source, k) - self.v_nominal) for k in range(11)]
         n_target = distances.index(min(distances))
         n_on = 5
         assert n_target < n_on
         postponed = [ins.agent_id for ins in plan if ins.action is Action.POSTPONE]
-        expected = [i for i in range(10) if flex.flex_on[i]][: n_on - n_target]
+        expected = [i for i in range(10) if flex[i]][: n_on - n_target]
         assert postponed == expected
         assert not any(ins.action is Action.ADVANCE for ins in plan)
 
     def test_advances_lowest_id_disconnected_agents(self):
-        flex = LoadState.of([False] * 10)
+        flex = np.array([False] * 10)
         plan = controller_plan(9.0, self.v_nominal, self.band, self.config, 10.0, flex)
         advanced = [ins.agent_id for ins in plan if ins.action is Action.ADVANCE]
         assert advanced == list(range(len(advanced)))
         assert len(advanced) > 0
 
     def test_deterministic(self):
-        flex = LoadState.of([True] * 3 + [False] * 7)
+        flex = np.array([True] * 3 + [False] * 7)
         a = controller_plan(8.0, self.v_nominal, self.band, self.config, 9.0, flex)
         b = controller_plan(8.0, self.v_nominal, self.band, self.config, 9.0, flex)
         assert a == b
@@ -273,11 +271,67 @@ class TestControllerPlan:
 
         config = CC(1.0, (Branch(1.0, 1.0), Branch(2.0, 1.0)))
         with pytest.raises(ValueError):
-            controller_plan(1.0, 0.5, Band(0.4, 0.6), config, 1.0, LoadState.of([False, False]))
+            controller_plan(1.0, 0.5, Band(0.4, 0.6), config, 1.0, np.array([False, False]))
 
     def test_non_positive_sensed_rejected(self):
         with pytest.raises(ValueError):
-            controller_plan(0.0, self.v_nominal, self.band, self.config, 10.0, LoadState.of([False] * 10))
+            controller_plan(0.0, self.v_nominal, self.band, self.config, 10.0, np.array([False] * 10))
+
+    def test_flex_length_must_match_circuit(self):
+        with pytest.raises(ValueError):
+            controller_plan(9.0, self.v_nominal, self.band, self.config, 10.0, np.array([False] * 9))
+
+    def test_homogeneity_sees_the_last_branch(self):
+        branches = (Branch(100.0, 50.0),) * 9 + (Branch(100.0, 50.5),)
+        assert CircuitConfig(0.08, branches).is_homogeneous is False
+        assert CircuitConfig(0.08, branches[:-1]).is_homogeneous is True
+
+
+def scalar_plan(v_nominal, band, config, v_source, flex_on):
+    """Oracle: the planner's rule spelled out per agent, with the k lowest
+    connected (or disconnected) ids picked by list comprehension."""
+    n = len(flex_on)
+    n_on = sum(flex_on)
+    actions = [Action.HOLD] * n
+    if band.contains(v_load_for_count(config, v_source, n_on)):
+        return actions
+    distances = [abs(v_load_for_count(config, v_source, k) - v_nominal) for k in range(n + 1)]
+    n_target = distances.index(min(distances))
+    if n_target < n_on:
+        for i in [i for i in range(n) if flex_on[i]][: n_on - n_target]:
+            actions[i] = Action.POSTPONE
+    elif n_target > n_on:
+        for i in [i for i in range(n) if not flex_on[i]][: n_target - n_on]:
+            actions[i] = Action.ADVANCE
+    return actions
+
+
+@st.composite
+def plan_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    flex_on = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    v_source = draw(st.floats(min_value=9.0, max_value=11.0))
+    return flex_on, v_source
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_inputs())
+@example(([True] * 10, 10.0))  # all on: postpone
+@example(([False] * 10, 10.0))  # all off: advance
+@example(([True] * 5 + [False] * 5, 10.0))  # predicted in band: everyone holds
+def test_array_plan_matches_scalar_oracle(inputs):
+    flex_on, v_source = inputs
+    n = len(flex_on)
+    # branch resistances scale with n, so every fleet presents the same load
+    config = CircuitConfig.homogeneous(n, 0.08, 10.0 * n, 5.0 * n)
+    v_nominal = v_load_for_count(config, 10.0, n // 2)
+    band = Band(v_nominal * 0.998, v_nominal * 1.002)
+
+    plan = controller_plan(v_nominal, v_nominal, band, config, v_source, np.array(flex_on))
+
+    assert plan.actions.dtype == np.int8
+    assert [ins.agent_id for ins in plan] == list(range(n))
+    assert [ins.action for ins in plan] == scalar_plan(v_nominal, band, config, v_source, flex_on)
 
 
 class TestConfigValidation:

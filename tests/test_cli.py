@@ -107,6 +107,18 @@ class TestRun:
         assert main(["run", small_scenario(), "--csv", str(out), "--record-shifts"]) == 0
         assert "shift_9" in out.read_text().splitlines()[0]
 
+    def test_record_shifts_from_file_adds_columns(self, tmp_path):
+        header = {}
+        for setting in ("true", "auto", "false"):
+            path = tmp_path / f"{setting}.cfg"
+            path.write_text(SMALL.format(rule="reactive", extra="") + f"record_shifts = {setting}\n")
+            out = tmp_path / f"{setting}.csv"
+            assert main(["run", str(path), "--csv", str(out)]) == 0
+            header[setting] = out.read_text().splitlines()[0]
+        assert header["true"].endswith(",shift_9")
+        # auto records the small fleet's shifts but keeps the CSV narrow
+        assert header["auto"] == header["false"] == "t,v_source,v_load,i_total,n_flex_on"
+
 
 class TestValidate:
     def test_validate_ok(self, small_scenario, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_scenario, run_reference
 from reflexgrid.agents import AgentConfig, Band, RuleKind
-from reflexgrid.circuit import CircuitConfig, v_load_for_count
+from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 from reflexgrid.engine import (
     Disturbance,
     Metrics,
@@ -224,6 +224,15 @@ class TestScenarioValidation:
         sc = build_scenario(n=3, horizon=200)
         with pytest.raises(ValueError):
             Scenario(sc.circuit, sc.v_source_base, sc.disturbance, sc.agents[:2], sc.band, 200, 0)
+
+    def test_controller_needs_identical_branches(self):
+        from dataclasses import replace
+
+        sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)
+        mixed = CircuitConfig(sc.circuit.r_source, sc.circuit.branches[:-1] + (Branch(100.0, 60.0),))
+        with pytest.raises(ValueError, match="identical"):
+            replace(sc, circuit=mixed)
+        replace(sc, circuit=mixed, controller=None)  # fine without a controller
 
 
 class TestComputeMetrics:
