@@ -225,7 +225,7 @@ def equals(p: Polynomial, q: Polynomial) -> bool:
 
 
 def contains_word(p: Polynomial, w: Word) -> bool:
-    return w in normalize(p)
+    return w in p.words
 
 
 def apply_awareness(omega: Polynomial, observers: Sequence[Atom]) -> Polynomial:

@@ -120,7 +120,11 @@ def _cmd_run(args) -> int:
 
     scenario = bundle.scenario
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        try:
+            scenario = replace(scenario, seed=args.seed)
+        except ValueError as exc:  # seed outside [0, 2**64)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     # the flag or the file's ``record_shifts = true`` adds shift columns; the
     # default (auto) may record shifts but never widens the CSV
     include_shifts = args.record_shifts or scenario.record_shifts is True

@@ -3,18 +3,24 @@
 Each step: compute the source voltage from the disturbance schedule, hand
 every agent the load-bus voltage recorded ``sensing_delay`` steps ago, let
 the controller (if any) deposit instructions, advance every agent, then
-solve the circuit and record.  Agent randomness comes from a counter-based
-stream (Philox keyed by the scenario seed, counter word 0 = step index,
-agent id = position in the block), so draws are independent of evaluation
-order and of which rules actually consume them.
+solve the circuit and record.  Agent randomness comes from one
+counter-based Philox stream keyed by the scenario seed: step ``t`` reads
+entries [4t, 4t + N) of it, agent id = position in the block.  Draws do
+not depend on evaluation order or on which rules consume them, but
+neighbouring steps overlap: agent i at step t + 1 reads the entry that
+agent i + 4 read at step t.
 
 The agent update here is a vectorized twin of ``agents.agent_step``; the
-test suite asserts step-for-step equality between the two.
+test suite asserts step-for-step equality between the two.  A quiet step,
+where no sensing agent is outside its thresholds and no instruction is
+issued, skips rule dispatch: no shift moves and only the cycle machine and
+the circuit advance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -131,9 +137,30 @@ class Metrics:
     settled: bool
 
 
+# steps served by one cached chunk; a chunk holds 4 * (_CHUNK_STEPS - 1) + n
+# doubles, and at most four chunks are kept
+_CHUNK_STEPS = 1024
+
+
+@lru_cache(maxsize=4)
+def _stream_chunk(seed: int, first: int, n: int) -> np.ndarray:
+    """Stream entries [4 * first, 4 * (first + _CHUNK_STEPS - 1) + n), read-only."""
+    chunk = Generator(Philox(key=seed, counter=[first, 0, 0, 0])).random(4 * (_CHUNK_STEPS - 1) + n)
+    chunk.flags.writeable = False
+    return chunk
+
+
 def uniform_draws(seed: int, t: int, n: int) -> np.ndarray:
-    """The step-``t`` block of n uniforms in [0, 1); agent i takes entry i."""
-    return Generator(Philox(key=seed, counter=[t, 0, 0, 0])).random(n)
+    """The step-``t`` block of n uniforms in [0, 1); agent i takes entry i.
+
+    This is ``Generator(Philox(key=seed, counter=[t, 0, 0, 0])).random(n)``.
+    Philox yields four doubles per counter increment, so that block is
+    entries [4t, 4t + n) of the seed's one stream, and it is returned as a
+    read-only view of a cached chunk of that stream.
+    """
+    first = t - t % _CHUNK_STEPS
+    offset = 4 * (t - first)
+    return _stream_chunk(seed, first, n)[offset : offset + n]
 
 
 def initial_sensed_voltage(scenario: Scenario) -> float:
@@ -159,9 +186,8 @@ def run(scenario: Scenario) -> Trace:
     period = np.array([a.period for a in cfgs], dtype=np.int64)
     on_steps = np.array([a.on_steps for a in cfgs], dtype=np.int64)
     phase = np.array([a.phase for a in cfgs], dtype=np.int64)
-    v_low = np.array([a.v_low for a in cfgs])
-    v_high = np.array([a.v_high for a in cfgs])
     max_shift = np.array([a.max_shift for a in cfgs], dtype=np.int64)
+    min_shift = -max_shift
     prob = np.array([a.p for a in cfgs])
     rule = np.array([_RULE_CODES[a.rule] for a in cfgs], dtype=np.int8)
     latch_cfg = np.array([a.p_latch for a in cfgs], dtype=bool)
@@ -170,30 +196,37 @@ def run(scenario: Scenario) -> Trace:
     prob_mask = rule == _RULE_CODES[RuleKind.PROBABILISTIC]
     cmd_mask = rule == _RULE_CODES[RuleKind.COMMANDED]
     senses = reactive_mask | prob_mask
-    senses_any = bool(senses.any())
     has_prob = bool(prob_mask.any())
     has_cmd = bool(cmd_mask.any())
-    has_latch = bool((prob_mask & latch_cfg).any())
-    # uniform thresholds let the trigger comparison collapse to scalars; an
-    # all-reactive fleet then needs no per-agent dispatch at all
-    uniform_thresholds = bool((v_low == v_low[0]).all() and (v_high == v_high[0]).all())
-    v_low0, v_high0 = float(v_low[0]), float(v_high[0])
-    fast_reactive = bool(reactive_mask.all()) and uniform_thresholds
+    latched = prob_mask & latch_cfg
+    plain = prob_mask & ~latch_cfg
+    has_latch = bool(latched.any())
 
-    # state
+    # agents that do not sense never trigger; when every sensing agent has
+    # the same thresholds, the trigger is one int for the whole fleet
+    v_low = np.where(senses, [a.v_low for a in cfgs], -np.inf)
+    v_high = np.where(senses, [a.v_high for a in cfgs], np.inf)
+    thresholds = set(zip(v_low[senses].tolist(), v_high[senses].tolist()))
+    uniform_thresholds = len(thresholds) <= 1
+    v_low0, v_high0 = thresholds.pop() if thresholds else (-np.inf, np.inf)
+
+    # state; the cycle machine keeps run_rem > 0 exactly while connected
     shift = np.zeros(n, dtype=np.int64)
-    pending = np.zeros(n, dtype=np.int64)  # +1 postpone, -1 advance, 0 none
+    lag = phase  # phase + shift, except commanded schedules free-run at phase
     pos_init = (-1 - phase) % period
     connected = pos_init < on_steps
     run_rem = np.where(connected, on_steps - pos_init, 0)
     override = np.zeros(n, dtype=np.int64)  # commanded connection mask
+    forced = np.zeros(n, dtype=bool)  # override > 0
+    allowed = np.ones(n, dtype=bool)  # override >= 0
     latch_side = np.zeros(n, dtype=np.int64)
     latch_react = np.zeros(n, dtype=bool)
+    latch_dirty = False  # latch state may be nonzero
 
-    # summed per branch exactly as circuit.solve does, so traces match the
-    # per-agent reference bit for bit
+    # the elements equal circuit.solve's per-branch sums, so the pairwise
+    # total and the traces match the per-agent reference bit for bit
     g_base = scenario.circuit.base_conductances()
-    g_flex = scenario.circuit.flex_conductances()
+    g_on = g_base + scenario.circuit.flex_conductances()
     r_source = scenario.circuit.r_source
 
     trace_vs = np.empty(horizon)
@@ -207,82 +240,82 @@ def run(scenario: Scenario) -> Trace:
     v_init = initial_sensed_voltage(scenario)
     delay = scenario.sensing_delay
     ctrl = scenario.controller
-    flex_on = connected.copy()
+    flex_on = connected
 
     for t in range(horizon):
         vs = source_voltage(scenario, t)
         sensed = trace_v[t - delay] if t >= delay else v_init
 
+        # instructions are consumed within the step that planned them
+        commands = None
         if ctrl is not None and t % ctrl.control_interval == 0:
             plan = controller_plan(sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on)
-            pending[:] = plan.actions
+            if has_cmd and plan.actions.any():
+                commands = np.where(cmd_mask, plan.actions, 0)
+
+        if uniform_thresholds:
+            trigger = 1 if sensed < v_low0 else (-1 if sensed > v_high0 else 0)
+            triggered = trigger != 0
+        else:
+            trigger = np.where(sensed < v_low, 1, np.where(sensed > v_high, -1, 0))
+            triggered = bool(trigger.any())
+        if has_prob:
+            draws = uniform_draws(scenario.seed, t, n)
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
-        if fast_reactive:
-            trig = 1 if sensed < v_low0 else (-1 if sensed > v_high0 else 0)
-            if trig == 0:
-                new_shift = shift
-                sweep: np.ndarray | int = 1
-            else:
-                new_shift = np.clip(shift + trig, -max_shift, max_shift)
-                sweep = 1 - (new_shift - shift)
-            pos = (t - phase - new_shift) % period
+        if not triggered and commands is None:
+            # quiet step: no shift moves, every window sweeps one step
+            if latch_dirty:
+                latch_side = np.zeros(n, dtype=np.int64)
+                latch_react = np.zeros(n, dtype=bool)
+                latch_dirty = False
+            limit: np.ndarray | int = 1
         else:
-            if senses_any:
-                trigger = np.where(sensed < v_low, 1, np.where(sensed > v_high, -1, 0))
-            else:
-                trigger = np.zeros(n, dtype=np.int64)
-
-            applied = np.where(reactive_mask, trigger, 0)
+            reacts = reactive_mask
             if has_prob:
-                draws = uniform_draws(scenario.seed, t, n)
+                hit = draws < prob
                 if has_latch:
-                    latched = prob_mask & latch_cfg
-                    new_episode = latched & (trigger != 0) & (latch_side != trigger)
-                    react = np.where(new_episode, draws < prob, latch_react)
-                    latch_react = react & latched & (trigger != 0)
-                    latch_side = np.where(latched, np.where(trigger != 0, trigger, 0), 0)
-                    applied = np.where(latched, np.where(react, trigger, 0), applied)
-                    plain = prob_mask & ~latch_cfg
-                    applied = np.where(plain & (draws < prob), trigger, applied)
+                    active = latched & (trigger != 0)
+                    new_episode = active & (latch_side != trigger)
+                    latch_react = np.where(new_episode, hit, latch_react) & active
+                    latch_side = np.where(active, trigger, 0)
+                    latch_dirty = True
+                    reacts = reacts | latch_react
+                    hit = hit & plain
                 else:
-                    applied = np.where(prob_mask & (draws < prob), trigger, applied)
-            if has_cmd:
-                applied = np.where(cmd_mask, pending, applied)
-                # postpone (+1 pending) suppresses the connection, advance forces it
-                override = np.clip(override - np.where(cmd_mask, pending, 0), -1, 1)
-            if ctrl is not None:
-                pending[:] = 0  # instructions are consumed within their step
+                    hit = hit & prob_mask
+                reacts = reacts | hit
+            applied = np.where(reacts, trigger, 0)
+            if commands is not None:
+                applied = applied + commands
+                # postpone (+1) suppresses the connection, advance forces it
+                override = np.minimum(np.maximum(override - commands, -1), 1)
+                forced = override > 0
+                allowed = override >= 0
 
-            new_shift = np.clip(shift + applied, -max_shift, max_shift)
-
-            # commanded schedules free-run unshifted
-            sweep = 1 - (new_shift - shift)
-            pos = (t - phase - new_shift) % period
-            if has_cmd:
-                sweep = np.where(cmd_mask, 1, sweep)
-                pos = np.where(cmd_mask, (t - phase) % period, pos)
+            new_shift = np.minimum(np.maximum(shift + applied, min_shift), max_shift)
+            new_lag = phase + (np.where(cmd_mask, 0, new_shift) if has_cmd else new_shift)
+            # window sweep this step: 1 holding, 0 postponing, 2 advancing
+            limit = np.minimum(1 - (new_lag - lag), on_steps)
+            shift, lag = new_shift, new_lag
 
         # --- cycle machine ---
+        pos = (t - lag) % period
         run_rem = run_rem - connected
-        connected = connected & (run_rem > 0)
-        starting = ~connected & (pos < sweep) & (pos < on_steps)
+        connected = run_rem > 0
+        starting = (pos < limit) & ~connected
         run_rem = np.where(starting, on_steps - pos, run_rem)
         connected = connected | starting
-        run_rem = np.where(connected, run_rem, 0)
-        shift = new_shift
 
-        flex_on = connected
-        if has_cmd:
-            flex_on = np.where(cmd_mask & (override != 0), override > 0, connected)
+        flex_on = (connected & allowed) | forced if has_cmd else connected
 
         # --- physical layer ---
-        g_total = float((g_base + np.where(flex_on, g_flex, 0.0)).sum())
+        g_total = float(np.where(flex_on, g_on, g_base).sum())
         v = vs / (1.0 + r_source * g_total)
         trace_vs[t] = vs
         trace_v[t] = v
         trace_i[t] = v * g_total
-        trace_n[t] = int(flex_on.sum())
+        trace_n[t] = np.count_nonzero(flex_on)
         if trace_shifts is not None:
             trace_shifts[t] = shift
 

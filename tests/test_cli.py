@@ -102,6 +102,13 @@ class TestRun:
         assert main(["run", path, "--csv", str(b), "--seed", "2"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_override_exits_1(self, small_scenario, tmp_path, capsys, seed):
+        out = tmp_path / "out.csv"
+        assert main(["run", small_scenario(), "--csv", str(out), "--seed", str(seed)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_record_shifts_adds_columns(self, small_scenario, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["run", small_scenario(), "--csv", str(out), "--record-shifts"]) == 0

@@ -2,9 +2,12 @@
 the control invariants behind the herding story, and metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.random import Generator, Philox
 
 from conftest import build_scenario, run_reference
 from reflexgrid.agents import AgentConfig, Band, RuleKind
@@ -52,6 +55,34 @@ class TestDeterminism:
         assert not np.array_equal(uniform_draws(9, 101, 50), a)
         assert not np.array_equal(uniform_draws(8, 100, 50), a)
 
+    @pytest.mark.parametrize("t", [0, 1023, 1024, 2047, 5000])
+    @pytest.mark.parametrize("n", [1, 100, 10_000])
+    def test_draws_are_the_fresh_generator_block(self, t, n):
+        # across cached-chunk boundaries, and for blocks longer than a chunk
+        fresh = Generator(Philox(key=9, counter=[t, 0, 0, 0])).random(n)
+        assert np.array_equal(uniform_draws(9, t, n), fresh)
+
+    def test_draws_cannot_be_changed_through_a_result(self):
+        first = uniform_draws(4, 10, 20)
+        with pytest.raises(ValueError):
+            first[0] = 2.0
+        fresh = Generator(Philox(key=4, counter=[10, 0, 0, 0])).random(20)
+        assert np.array_equal(uniform_draws(4, 10, 20), fresh)
+
+    @pytest.mark.parametrize("rule, calls", [(RuleKind.PROBABILISTIC, 150), (RuleKind.REACTIVE, 0)])
+    def test_one_draw_call_per_step_of_a_probabilistic_fleet(self, monkeypatch, rule, calls):
+        import reflexgrid.engine
+
+        made = []
+
+        def counting(seed, t, n):
+            made.append(t)
+            return uniform_draws(seed, t, n)
+
+        monkeypatch.setattr(reflexgrid.engine, "uniform_draws", counting)
+        run(build_scenario(rule, n=5, horizon=150, t_start=40, t_end=80))
+        assert made == list(range(calls))
+
     def test_seed_must_be_unsigned_64_bit(self):
         with pytest.raises(ValueError):
             build_scenario(seed=-1)
@@ -70,6 +101,41 @@ class TestRuleEquivalences:
         reactive = run(build_scenario(RuleKind.REACTIVE, seed=5))
         assert traces_equal(prob, reactive)
         assert np.array_equal(prob.shifts, reactive.shifts)
+
+
+@st.composite
+def small_fleets(draw):
+    """Mixed fleets whose agents trigger on different steps, with or without
+    a controller; thresholds move per agent so some steps trigger only some."""
+    n = draw(st.integers(1, 8))
+    period = draw(st.integers(2, 12))
+    horizon = draw(st.integers(20, 160))
+    t_start = draw(st.integers(0, horizon))
+    sc = build_scenario(
+        n=n,
+        period=period,
+        on_steps=draw(st.integers(1, period - 1)),
+        phases=draw(st.lists(st.integers(0, period - 1), min_size=n, max_size=n)),
+        rules=draw(st.lists(st.sampled_from(list(RuleKind)), min_size=n, max_size=n)),
+        p=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon=horizon,
+        t_start=t_start,
+        t_end=draw(st.integers(t_start, horizon)),
+        delta_v=draw(st.sampled_from([0.3, -0.3, 0.05])),
+        max_shift=draw(st.integers(0, 4)),
+        controller=draw(st.booleans()),
+        control_interval=draw(st.integers(1, 3)),
+        sensing_delay=draw(st.integers(1, 4)),
+        record_shifts=True,
+    )
+    offsets = draw(st.lists(st.sampled_from([0.0, 0.0, -0.02, 0.02]), min_size=n, max_size=n))
+    latches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    agents = tuple(
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, p_latch=latch)
+        for a, d, latch in zip(sc.agents, offsets, latches)
+    )
+    return replace(sc, agents=agents)
 
 
 class TestReferenceEquivalence:
@@ -112,8 +178,6 @@ class TestReferenceEquivalence:
         assert int(np.abs(engine_trace.shifts).max()) <= 3
 
     def test_heterogeneous_thresholds(self):
-        from dataclasses import replace
-
         sc = build_scenario(RuleKind.REACTIVE, n=6, horizon=200, t_start=40, t_end=120)
         agents = list(sc.agents)
         agents[2] = replace(agents[2], v_low=agents[2].v_low - 0.01)  # less touchy
@@ -121,6 +185,14 @@ class TestReferenceEquivalence:
         trace = run(sc)
         assert traces_equal(trace, run_reference(sc))
         assert np.array_equal(trace.shifts, run_reference(sc).shifts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_fleets())
+    def test_random_small_fleets(self, sc):
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
 
 
 class TestPassiveBehaviour:
@@ -226,8 +298,6 @@ class TestScenarioValidation:
             Scenario(sc.circuit, sc.v_source_base, sc.disturbance, sc.agents[:2], sc.band, 200, 0)
 
     def test_controller_needs_identical_branches(self):
-        from dataclasses import replace
-
         sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)
         mixed = CircuitConfig(sc.circuit.r_source, sc.circuit.branches[:-1] + (Branch(100.0, 60.0),))
         with pytest.raises(ValueError, match="identical"):
