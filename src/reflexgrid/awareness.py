@@ -141,7 +141,7 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
     violations: list[Violation] = []
     for i, (a, rule) in enumerate(zip(decl.agent_atoms, rules)):
         required = rule_requirements(rule, decl.root, a, decl.agent_atoms, decl.controller_atom)
-        for word in sorted(required, key=lambda w: w.sort_key):
-            if not contains_word(structure, word):
-                violations.append(Violation(agent_id=i, rule=rule, missing=word))
+        missing = [word for word in required if not contains_word(structure, word)]
+        missing.sort(key=lambda w: w.sort_key)
+        violations += (Violation(agent_id=i, rule=rule, missing=word) for word in missing)
     return violations

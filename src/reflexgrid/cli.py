@@ -83,17 +83,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_violations(bundle, strict: bool) -> int:
+def _load_checked(args):
+    """Load ``args.scenario`` and report its awareness violations.
+
+    Returns ``(bundle, EXIT_OK)``, or ``(None, code)`` once the error is printed.
+    """
+    try:
+        bundle = load_scenario(args.scenario)
+    except FileNotFoundError:
+        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
+        return None, EXIT_PARSE
+    except ScenarioFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
     violations = validate_awareness(bundle.awareness, bundle.rules)
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
-    if violations and strict:
+    if violations and args.strict_awareness:
         print(
             f"error: {len(violations)} awareness violation(s) in strict mode",
             file=sys.stderr,
         )
-        return EXIT_AWARENESS
-    return EXIT_OK
+        return None, EXIT_AWARENESS
+    return bundle, EXIT_OK
 
 
 def _metrics_window(scenario) -> tuple[int, int]:
@@ -105,17 +117,8 @@ def _metrics_window(scenario) -> tuple[int, int]:
 
 
 def _cmd_run(args) -> int:
-    try:
-        bundle = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    code = _report_violations(bundle, args.strict_awareness)
-    if code != EXIT_OK:
+    bundle, code = _load_checked(args)
+    if bundle is None:
         return code
 
     scenario = bundle.scenario
@@ -150,16 +153,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        bundle = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_PARSE
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    code = _report_violations(bundle, args.strict_awareness)
-    if code != EXIT_OK:
+    bundle, code = _load_checked(args)
+    if bundle is None:
         return code
     s = bundle.scenario
     print(f"scenario ok: {s.n_agents} agents, horizon {s.horizon}, seed {s.seed}")

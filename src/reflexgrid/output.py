@@ -4,13 +4,19 @@ The CSV schema is one header row ``t,v_source,v_load,i_total,n_flex_on``
 followed by one row per step, with optional ``shift_<i>`` columns when
 shifts were recorded.  Floats render as their shortest round-trip
 representation, so identical runs serialize byte-identically.
+
+The CSV is made in blocks of rows, a column at a time: each column slice
+becomes Python numbers in one call and is formatted by one ``map``, and a
+shift row equal to the row before it reuses that row's text.
+``write_trace_csv`` writes the blocks as they are made, so a long trace
+never exists as one string; ``trace_to_csv`` joins them.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -18,38 +24,57 @@ from .agents import Band
 from .engine import Metrics, Trace
 
 _BASE_COLUMNS = ("t", "v_source", "v_load", "i_total", "n_flex_on")
+# rows per block: bounds the text held at once while writing a long trace
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def trace_to_csv(trace: Trace, include_shifts: bool = False) -> str:
-    """Render the trace as CSV text (LF line endings)."""
-    out = io.StringIO()
+def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
+    """The header line, then the text of each block of up to ``_BLOCK_ROWS`` rows.
+
+    ``repr`` of a ``tolist`` float and ``str`` of a ``tolist`` int are the
+    bytes ``repr(float(x))`` and ``str(int(x))`` give for the numpy scalar.
+    """
     header = list(_BASE_COLUMNS)
     shifts = trace.shifts if include_shifts else None
     if include_shifts:
-        if trace.shifts is None:
+        if shifts is None:
             raise ValueError("trace has no recorded shifts")
-        header += [f"shift_{i}" for i in range(trace.shifts.shape[1])]
-    out.write(",".join(header) + "\n")
-    for t in range(trace.horizon):
-        row = [
-            str(t),
-            _fmt(trace.v_source[t]),
-            _fmt(trace.v_load[t]),
-            _fmt(trace.i_total[t]),
-            str(int(trace.n_flex_on[t])),
+        header += [f"shift_{i}" for i in range(shifts.shape[1])]
+    yield ",".join(header) + "\n"
+    for start in range(0, trace.horizon, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, trace.horizon)
+        cols = [
+            map(str, range(start, stop)),
+            map(repr, trace.v_source[start:stop].tolist()),
+            map(repr, trace.v_load[start:stop].tolist()),
+            map(repr, trace.i_total[start:stop].tolist()),
+            map(str, trace.n_flex_on[start:stop].tolist()),
         ]
         if shifts is not None:
-            row += [str(int(s)) for s in shifts[t]]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+            block = shifts[start:stop]
+            changed = np.ones(len(block), dtype=bool)
+            changed[1:] = (block[1:] != block[:-1]).any(axis=1)
+            distinct = [",".join(map(str, row)) for row in block[changed].tolist()]
+            cols.append(map(distinct.__getitem__, (np.cumsum(changed) - 1).tolist()))
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def trace_to_csv(trace: Trace, include_shifts: bool = False) -> str:
+    """Render the trace as CSV text (LF line endings)."""
+    return "".join(_csv_blocks(trace, include_shifts))
 
 
 def write_trace_csv(trace: Trace, path: str | Path, include_shifts: bool = False) -> None:
-    Path(path).write_text(trace_to_csv(trace, include_shifts), encoding="utf-8", newline="\n")
+    """Write ``trace_to_csv``'s bytes to ``path`` block by block."""
+    blocks = _csv_blocks(trace, include_shifts)
+    header = next(blocks)  # a missing-shifts error leaves the file untouched
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        fh.writelines(blocks)
 
 
 def read_trace_csv(path: str | Path) -> Trace:

@@ -129,14 +129,6 @@ def _get(section: dict, key: str, convert, default=None, required=False, section
         raise ScenarioFileError(f"bad value for {key!r}: {exc}", lineno)
 
 
-def _to_int(value: str) -> int:
-    return int(value)
-
-
-def _to_float(value: str) -> float:
-    return float(value)
-
-
 def _to_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "on", "1"):
@@ -176,54 +168,54 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
             raise ScenarioFileError(f"missing required section [{name}]")
 
     circ_sec = sections["circuit"]
-    r_source = _get(circ_sec, "r_source", _to_float, required=True, section_name="circuit")
-    r_base = _get(circ_sec, "r_base", _to_float, required=True, section_name="circuit")
-    r_flex = _get(circ_sec, "r_flex", _to_float, required=True, section_name="circuit")
+    r_source = _get(circ_sec, "r_source", float, required=True, section_name="circuit")
+    r_base = _get(circ_sec, "r_base", float, required=True, section_name="circuit")
+    r_flex = _get(circ_sec, "r_flex", float, required=True, section_name="circuit")
 
-    v_base = _get(sections["source"], "v_base", _to_float, required=True, section_name="source")
+    v_base = _get(sections["source"], "v_base", float, required=True, section_name="source")
 
     dist_sec = sections.get("disturbance", {})
     disturbance = Disturbance(
-        t_start=_get(dist_sec, "t_start", _to_int, default=0),
-        t_end=_get(dist_sec, "t_end", _to_int, default=0),
-        delta_v=_get(dist_sec, "delta_v", _to_float, default=0.0),
+        t_start=_get(dist_sec, "t_start", int, default=0),
+        t_end=_get(dist_sec, "t_end", int, default=0),
+        delta_v=_get(dist_sec, "delta_v", float, default=0.0),
     )
 
     ag = sections["agents"]
-    count = _get(ag, "count", _to_int, required=True, section_name="agents")
+    count = _get(ag, "count", int, required=True, section_name="agents")
     if count < 1:
         raise ScenarioFileError("agent count must be at least 1")
-    period = _get(ag, "period", _to_int, required=True, section_name="agents")
-    on_steps = _get(ag, "on_steps", _to_int, required=True, section_name="agents")
+    period = _get(ag, "period", int, required=True, section_name="agents")
+    on_steps = _get(ag, "on_steps", int, required=True, section_name="agents")
     phase_spread = _get(ag, "phase_spread", str, default="uniform")
     if phase_spread != "uniform":
         raise ScenarioFileError(f"unsupported phase_spread {phase_spread!r} (only 'uniform')")
     fleet_rule = _get(ag, "rule", _to_rule, required=True, section_name="agents")
-    fleet_p = _get(ag, "p", _to_float, default=None)
+    fleet_p = _get(ag, "p", float, default=None)
     fleet_latch = _get(ag, "p_latch", _to_bool, default=False)
-    fleet_max_shift = _get(ag, "max_shift", _to_int, default=None)
-    fleet_v_low = _get(ag, "v_low", _to_float, default=None)
-    fleet_v_high = _get(ag, "v_high", _to_float, default=None)
+    fleet_max_shift = _get(ag, "max_shift", int, default=None)
+    fleet_v_low = _get(ag, "v_low", float, default=None)
+    fleet_v_high = _get(ag, "v_high", float, default=None)
     peer_awareness = _get(ag, "peer_awareness", _to_peer_awareness, default=False)
 
     ctrl_sec = sections.get("controller", {})
     ctrl_enabled = _get(ctrl_sec, "enabled", _to_bool, default=False)
-    control_interval = _get(ctrl_sec, "control_interval", _to_int, default=1)
-    ctrl_v_nominal = _get(ctrl_sec, "v_nominal", _to_float, default=None)
+    control_interval = _get(ctrl_sec, "control_interval", int, default=1)
+    ctrl_v_nominal = _get(ctrl_sec, "v_nominal", float, default=None)
 
     run_sec = sections["run"]
-    horizon = _get(run_sec, "horizon", _to_int, required=True, section_name="run")
-    seed = _get(run_sec, "seed", _to_int, required=True, section_name="run")
-    sensing_delay = _get(run_sec, "sensing_delay", _to_int, default=1)
+    horizon = _get(run_sec, "horizon", int, required=True, section_name="run")
+    seed = _get(run_sec, "seed", int, required=True, section_name="run")
+    sensing_delay = _get(run_sec, "sensing_delay", int, default=1)
     record_shifts = _get(run_sec, "record_shifts", _to_record_shifts, default=None)
 
     circuit = CircuitConfig.homogeneous(count, r_source, r_base, r_flex)
 
     # band: explicit edges, or a ratio around the calibrated nominal
     band_sec = sections.get("band", {})
-    explicit_low = _get(band_sec, "v_low", _to_float, default=None)
-    explicit_high = _get(band_sec, "v_high", _to_float, default=None)
-    ratio = _get(band_sec, "ratio", _to_float, default=None)
+    explicit_low = _get(band_sec, "v_low", float, default=None)
+    explicit_high = _get(band_sec, "v_high", float, default=None)
+    ratio = _get(band_sec, "ratio", float, default=None)
     if (explicit_low is None) != (explicit_high is None):
         raise ScenarioFileError("band v_low and v_high must be given together")
     if explicit_low is not None and ratio is not None:
@@ -244,21 +236,21 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
     def build_agent(i: int) -> AgentConfig:
         block = agent_blocks.get(i, {})
         rule = _get(block, "rule", _to_rule, default=fleet_rule)
-        p = _get(block, "p", _to_float, default=fleet_p)
+        p = _get(block, "p", float, default=fleet_p)
         if rule is RuleKind.PROBABILISTIC and p is None:
             raise ScenarioFileError(
                 f"agent {i} has a probabilistic rule but no reaction probability 'p'"
             )
         return AgentConfig(
             agent_id=i,
-            period=_get(block, "period", _to_int, default=period),
-            on_steps=_get(block, "on_steps", _to_int, default=on_steps),
-            phase=_get(block, "phase", _to_int, default=i % period),
+            period=_get(block, "period", int, default=period),
+            on_steps=_get(block, "on_steps", int, default=on_steps),
+            phase=_get(block, "phase", int, default=i % period),
             rule=rule,
-            v_low=_get(block, "v_low", _to_float, default=fleet_v_low if fleet_v_low is not None else band.v_low),
-            v_high=_get(block, "v_high", _to_float, default=fleet_v_high if fleet_v_high is not None else band.v_high),
+            v_low=_get(block, "v_low", float, default=fleet_v_low if fleet_v_low is not None else band.v_low),
+            v_high=_get(block, "v_high", float, default=fleet_v_high if fleet_v_high is not None else band.v_high),
             p=p if p is not None else 1.0,
-            max_shift=_get(block, "max_shift", _to_int, default=fleet_max_shift),
+            max_shift=_get(block, "max_shift", int, default=fleet_max_shift),
             p_latch=_get(block, "p_latch", _to_bool, default=fleet_latch),
         )
 

@@ -1,11 +1,15 @@
 """Wiring-to-polynomial derivation and the rule-requirement validator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reflexgrid.awareness
 from reflexgrid.agents import RuleKind
 from reflexgrid.algebra import Atom, Word, contains_word, equals, parse
 from reflexgrid.awareness import (
     AwarenessDecl,
+    Violation,
     derive_structure,
     rule_requirements,
     standard_declaration,
@@ -139,3 +143,68 @@ class TestValidateAwareness:
     def test_rule_count_must_match(self):
         with pytest.raises(ValueError):
             validate_awareness(standard_declaration(2), [RuleKind.PASSIVE])
+
+
+def sorted_violations(decl, rules):
+    """Every agent's requirements sorted canonically, then filtered: the reference order."""
+    structure = derive_structure(decl)
+    out = []
+    for i, (a, rule) in enumerate(zip(decl.agent_atoms, rules)):
+        required = rule_requirements(rule, decl.root, a, decl.agent_atoms, decl.controller_atom)
+        for word in sorted(required, key=lambda w: w.sort_key):
+            if not contains_word(structure, word):
+                out.append(Violation(agent_id=i, rule=rule, missing=word))
+    return out
+
+
+@st.composite
+def wirings(draw):
+    """A random wiring and one rule per agent; peers and channels may be missing."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abxy"), st.none() | st.integers(0, 12)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    atoms = tuple(Atom(letter, index) for letter, index in keys)
+    n = len(atoms)
+    has_controller = draw(st.booleans())
+    bools = st.lists(st.booleans(), min_size=n, max_size=n)
+    decl = AwarenessDecl(
+        root=T,
+        agent_atoms=atoms,
+        senses_root=tuple(draw(bools)),
+        peer_images=tuple(
+            frozenset(draw(st.lists(st.sampled_from(atoms), max_size=n))) for _ in atoms
+        ),
+        controller_atom=C if has_controller else None,
+        controller_senses_root=has_controller and draw(st.booleans()),
+        controller_channel=tuple(draw(bools)) if has_controller else (),
+    )
+    # a commanded rule without a controller atom is rejected, not validated
+    kinds = [k for k in RuleKind if has_controller or k is not RuleKind.COMMANDED]
+    rules = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    return decl, rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(wirings())
+def test_validate_matches_sorted_reference(wiring):
+    decl, rules = wiring
+    assert validate_awareness(decl, rules) == sorted_violations(decl, rules)
+
+
+def test_one_module_level_lookup_per_required_word(monkeypatch):
+    n = 4
+    decl = standard_declaration(n, peer_awareness=True)
+    calls = []
+
+    def counting(structure, word):
+        calls.append(word)
+        return contains_word(structure, word)
+
+    monkeypatch.setattr(reflexgrid.awareness, "contains_word", counting)
+    validate_awareness(decl, [RuleKind.PROBABILISTIC] * n)
+    assert len(calls) == n * (n + 1)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, and output stability."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -95,6 +96,24 @@ class TestRun:
         assert main(["run", path, "--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # sha256 of the trace CSVs of the deterministic shipped scenarios; B is left
+    # out because its draws are due to be re-recorded
+    @pytest.mark.parametrize(
+        "name,flags,sha256",
+        [
+            ("scenario_a.cfg", [], "5a02daa6f8cae1fc3d630acdc3c4acf7e650b5a29107983e3b34c4a3b1e47bd8"),
+            ("scenario_a.cfg", ["--record-shifts"],
+             "d5dcfdf0d2194f74a849df1c9dda039c89d8967e1ce73b2ec04dfe73c2a038a0"),
+            ("scenario_c.cfg", [], "2ef1b55adbf72f4fdaf3149d196e2ee675c9ee13e34ee6435d464567e626e65c"),
+            ("scenario_c.cfg", ["--record-shifts"],
+             "a27a407f9690cc6dbbfd0a49f823b58fd41ac0bb67a449755e774fc6b2f7a199"),
+        ],
+    )
+    def test_shipped_scenario_csv_digest(self, tmp_path, name, flags, sha256):
+        out = tmp_path / "out.csv"
+        assert main(["run", str(SCENARIOS / name), "--csv", str(out), *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_seed_override_changes_probabilistic_trace(self, small_scenario, tmp_path):
         path = small_scenario(rule="probabilistic", extra="p = 0.3\npeer_awareness = full\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -135,6 +154,15 @@ class TestValidate:
     def test_validate_strict_violations(self, small_scenario):
         path = small_scenario(rule="probabilistic", extra="p = 0.1\n")
         assert main(["validate", path, "--strict-awareness"]) == 3
+
+    def test_validate_load_errors_exit_1(self, tmp_path, capsys):
+        assert main(["validate", "/nonexistent/path.cfg"]) == 1
+        assert capsys.readouterr().err == "error: scenario file not found: /nonexistent/path.cfg\n"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL.format(rule="reactive", extra="").replace("period", "perod"))
+        assert main(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: line \d+: unknown key 'perod' in section \[agents\]\n", err)
 
 
 class TestAlgebra:

@@ -1,14 +1,19 @@
 """CSV round-trips, summary rendering, and the SVG chart."""
 
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_scenario
 from reflexgrid.agents import Band, RuleKind
 from reflexgrid.engine import compute_metrics, run
+from reflexgrid.engine import Trace
 from reflexgrid.output import (
+    _BLOCK_ROWS,
     metrics_summary,
     read_trace_csv,
     trace_to_csv,
@@ -42,11 +47,111 @@ def test_csv_with_shift_columns(tmp_path, trace):
     assert np.array_equal(loaded.shifts, trace.shifts)
 
 
-def test_csv_requires_recorded_shifts():
+def test_csv_requires_recorded_shifts(tmp_path):
     bare = run(build_scenario(RuleKind.REACTIVE, horizon=50, t_start=0, t_end=0,
                               delta_v=0.0, record_shifts=False))
     with pytest.raises(ValueError):
         trace_to_csv(bare, include_shifts=True)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError):
+        write_trace_csv(bare, path, include_shifts=True)
+    assert not path.exists()
+
+
+def reference_csv(trace, include_shifts=False):
+    """The row-at-a-time writer: the byte-level specification of the CSV."""
+    out = io.StringIO()
+    header = ["t", "v_source", "v_load", "i_total", "n_flex_on"]
+    shifts = trace.shifts if include_shifts else None
+    if include_shifts:
+        header += [f"shift_{i}" for i in range(trace.shifts.shape[1])]
+    out.write(",".join(header) + "\n")
+    for t in range(trace.horizon):
+        row = [
+            str(t),
+            repr(float(trace.v_source[t])),
+            repr(float(trace.v_load[t])),
+            repr(float(trace.i_total[t])),
+            str(int(trace.n_flex_on[t])),
+        ]
+        if shifts is not None:
+            row += [str(int(s)) for s in shifts[t]]
+        out.write(",".join(row) + "\n")
+    return out.getvalue()
+
+
+def lines(text):
+    """Equal lists mean equal text; a failure reports the first differing line
+    instead of a diff of megabytes of text."""
+    return text.splitlines(keepends=True)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), float("-inf")]
+HORIZONS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+SHIFT_PATTERNS = ["repeat", "alternate", "block_boundary", "runs", "random"]
+
+
+def synthetic_trace(horizon, floats, width, pattern, seed):
+    """A trace whose columns draw from ``floats`` and whose shift rows follow ``pattern``."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(floats, dtype=float)
+
+    def column():
+        return pool[rng.integers(0, len(pool), horizon)]
+
+    shifts = None
+    if width:
+        rows = rng.integers(-(2**31), 2**31 - 1, (3, width)).astype(np.int32)
+        rows[1] = rows[0]
+        rows[1, -1] += 1  # rows 0 and 1 differ in their last column only
+        t = np.arange(horizon)
+        if pattern == "repeat":
+            pick = np.zeros(horizon, dtype=int)
+        elif pattern == "alternate":
+            pick = t % 2
+        elif pattern == "block_boundary":
+            pick = (t >= _BLOCK_ROWS).astype(int)
+        elif pattern == "runs":
+            pick = np.cumsum(rng.random(horizon) < 0.01) % 3
+        else:
+            pick = None
+        shifts = (
+            rng.integers(-2, 3, (horizon, width)).astype(np.int32)
+            if pick is None
+            else rows[pick]
+        )
+    n_flex = rng.integers(-(2**62), 2**62, horizon)
+    return Trace(column(), column(), column(), n_flex, shifts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.sampled_from(HORIZONS) | st.integers(1, 40),
+    floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6),
+    width=st.integers(0, 5),
+    pattern=st.sampled_from(SHIFT_PATTERNS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(horizon=2 * _BLOCK_ROWS + 3, floats=SPECIAL_FLOATS, width=3,
+         pattern="block_boundary", seed=0)
+@example(horizon=_BLOCK_ROWS + 1, floats=SPECIAL_FLOATS, width=1, pattern="alternate", seed=1)
+@example(horizon=1, floats=SPECIAL_FLOATS, width=2, pattern="repeat", seed=2)
+def test_block_writer_matches_row_reference(horizon, floats, width, pattern, seed):
+    trace = synthetic_trace(horizon, floats, width, pattern, seed)
+    for include_shifts in (False, True) if width else (False,):
+        expected = lines(reference_csv(trace, include_shifts))
+        assert lines(trace_to_csv(trace, include_shifts)) == expected
+
+
+@pytest.mark.parametrize("horizon", [1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("include_shifts", [False, True])
+def test_written_file_has_the_csv_bytes(tmp_path, horizon, include_shifts):
+    trace = synthetic_trace(horizon, SPECIAL_FLOATS, 4, "runs", horizon)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=include_shifts)
+    expected = lines(reference_csv(trace, include_shifts))
+    assert lines(trace_to_csv(trace, include_shifts)) == expected
+    assert lines(path.read_bytes().decode("utf-8")) == expected
 
 
 def test_csv_text_is_deterministic(trace):
