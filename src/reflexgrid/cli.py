@@ -132,7 +132,11 @@ def _cmd_run(args) -> int:
     # default (auto) may record shifts but never widens the CSV
     include_shifts = args.record_shifts or scenario.record_shifts is True
     if include_shifts:
-        scenario = replace(scenario, record_shifts=True)
+        try:
+            scenario = replace(scenario, record_shifts=True)
+        except ValueError as exc:  # shift record over SHIFT_RECORDING_MAX_ENTRIES
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
     try:
         trace = run_engine(scenario)

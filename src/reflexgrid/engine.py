@@ -15,6 +15,21 @@ test suite asserts step-for-step equality between the two.  A quiet step,
 where no sensing agent is outside its thresholds and no instruction is
 issued, skips rule dispatch: no shift moves and only the cycle machine and
 the circuit advance.
+
+The cycle machine keeps absolute steps instead of a window position: an
+agent is connected at step t iff t < run_end, and its next window opens at
+step nxt.  A shift move moves nxt by the same amount; a window that opens
+(nxt <= t, one step late after an advance) while the agent is idle starts
+a run to nxt + on_steps, and every opening moves nxt on by a period.  This
+is the ``(t - phase - shift) % period < on_steps`` rule of ``agent_step``
+with no per-step modulo.
+
+Passive and reactive agents with equal configurations and equal circuit
+branches get equal inputs on every step, so they stay in equal states: the
+engine keeps the state of each such cohort once and expands it to agent
+order only where agents are summed, counted, planned for or recorded.  The
+expanded conductances are the same N values in the same order, so the
+result is bit-identical to simulating every agent.
 """
 
 from __future__ import annotations
@@ -36,7 +51,10 @@ _RULE_CODES = {
     RuleKind.COMMANDED: 3,
 }
 
+# automatic shift recording needs a fleet of at most this many agents
 SHIFT_RECORDING_MAX_AGENTS = 1000
+# any shift record holds at most this many int32 entries (256 MiB)
+SHIFT_RECORDING_MAX_ENTRIES = 2**26
 
 
 @dataclass(frozen=True)
@@ -78,7 +96,7 @@ class Scenario:
     seed: int
     controller: ControllerConfig | None = None
     sensing_delay: int = 1
-    record_shifts: bool | None = None  # None: record unless the fleet is large
+    record_shifts: bool | None = None  # None: record unless the fleet or the record is large
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -100,6 +118,12 @@ class Scenario:
             raise ValueError("agents must have distinct ids 0..N-1 in order")
         if self.controller is not None and not self.circuit.is_homogeneous:
             raise ValueError("a controller requires identical circuit branches")
+        entries = self.horizon * len(self.agents)
+        if self.record_shifts and entries > SHIFT_RECORDING_MAX_ENTRIES:
+            raise ValueError(
+                f"recording shifts of {len(self.agents)} agents over {self.horizon} steps "
+                f"takes {entries} entries, more than {SHIFT_RECORDING_MAX_ENTRIES}"
+            )
         object.__setattr__(self, "agents", tuple(self.agents))
 
     @property
@@ -109,7 +133,10 @@ class Scenario:
     @property
     def shifts_recorded(self) -> bool:
         if self.record_shifts is None:
-            return self.n_agents <= SHIFT_RECORDING_MAX_AGENTS
+            return (
+                self.n_agents <= SHIFT_RECORDING_MAX_AGENTS
+                and self.horizon * self.n_agents <= SHIFT_RECORDING_MAX_ENTRIES
+            )
         return self.record_shifts
 
 
@@ -177,11 +204,42 @@ def source_voltage(scenario: Scenario, t: int) -> float:
     return scenario.v_source_base
 
 
+def _cohorts(scenario: Scenario) -> tuple[list[AgentConfig], np.ndarray | slice, np.ndarray | slice]:
+    """Split the fleet into cohorts of agents that follow one trajectory.
+
+    Passive and reactive agents with equal schedules, shift bounds,
+    thresholds and circuit branches receive the same inputs on every step,
+    so they stay in the same state.  A probabilistic agent reads its own
+    draw and a commanded agent is picked by id, so each is a cohort of its
+    own.  Returns each cohort's lowest-id member, the ids of those members
+    and each agent's cohort index; both index objects are ``slice(None)``
+    when no cohort has two members.
+    """
+    index: dict = {}
+    reps: list[AgentConfig] = []
+    cohort: list[int] = []
+    for a, branch in zip(scenario.agents, scenario.circuit.branches):
+        if a.rule in (RuleKind.PASSIVE, RuleKind.REACTIVE):
+            key = (a.rule, a.period, a.on_steps, a.phase, a.max_shift, a.v_low, a.v_high, branch)
+        else:
+            key = a.agent_id
+        k = index.setdefault(key, len(reps))
+        if k == len(reps):
+            reps.append(a)
+        cohort.append(k)
+    if len(reps) == len(cohort):
+        return reps, slice(None), slice(None)
+    return reps, np.array([a.agent_id for a in reps]), np.array(cohort)
+
+
 def run(scenario: Scenario) -> Trace:
     """Simulate the scenario; two runs with equal inputs are bit-identical."""
     n = scenario.n_agents
     horizon = scenario.horizon
-    cfgs = scenario.agents
+    # state is kept per cohort; ``[cohort]`` expands a cohort array to agent
+    # order and ``[first]`` collapses an agent array to cohorts
+    cfgs, first, cohort = _cohorts(scenario)
+    k = len(cfgs)
 
     period = np.array([a.period for a in cfgs], dtype=np.int64)
     on_steps = np.array([a.on_steps for a in cfgs], dtype=np.int64)
@@ -210,26 +268,35 @@ def run(scenario: Scenario) -> Trace:
     uniform_thresholds = len(thresholds) <= 1
     v_low0, v_high0 = thresholds.pop() if thresholds else (-np.inf, np.inf)
 
-    # state; the cycle machine keeps run_rem > 0 exactly while connected
-    shift = np.zeros(n, dtype=np.int64)
-    lag = phase  # phase + shift, except commanded schedules free-run at phase
-    pos_init = (-1 - phase) % period
-    connected = pos_init < on_steps
-    run_rem = np.where(connected, on_steps - pos_init, 0)
-    override = np.zeros(n, dtype=np.int64)  # commanded connection mask
-    forced = np.zeros(n, dtype=bool)  # override > 0
-    allowed = np.ones(n, dtype=bool)  # override >= 0
-    latch_side = np.zeros(n, dtype=np.int64)
-    latch_react = np.zeros(n, dtype=bool)
+    # cycle machine in absolute steps: connected at t iff t < run_end, and
+    # the next window (phase + shift + j * period; commanded schedules keep
+    # shift 0) opens at nxt.  Initial values are the state after step -1.
+    shift = np.zeros(k, dtype=np.int64)
+    nxt = phase
+    run_end = on_steps - 1 - (-1 - phase) % period
+    connected = run_end >= 0
+    opening = np.empty(k, dtype=bool)
+    starting = np.empty(k, dtype=bool)
+    override = np.zeros(k, dtype=np.int64)  # commanded connection mask
+    forced = np.zeros(k, dtype=bool)  # override > 0
+    allowed = np.ones(k, dtype=bool)  # override >= 0
+    latch_side = np.zeros(k, dtype=np.int64)
+    latch_react = np.zeros(k, dtype=bool)
     latch_dirty = False  # latch state may be nonzero
 
-    # the elements equal circuit.solve's per-branch sums, so the pairwise
-    # total and the traces match the per-agent reference bit for bit
+    # the elements equal circuit.solve's per-branch sums, and expanding by
+    # cohort gives the N values in agent order, so the pairwise total and
+    # the traces match the per-agent reference bit for bit
     g_base = scenario.circuit.base_conductances()
-    g_on = g_base + scenario.circuit.flex_conductances()
+    g_on = (g_base + scenario.circuit.flex_conductances())[first]
+    g_base = g_base[first]
     r_source = scenario.circuit.r_source
 
-    trace_vs = np.empty(horizon)
+    d = scenario.disturbance
+    v_base = scenario.v_source_base
+    v_sag = v_base - d.delta_v  # source_voltage inside [t_start, t_end)
+    trace_vs = np.full(horizon, v_base)
+    trace_vs[d.t_start : d.t_end] = v_sag
     trace_v = np.empty(horizon)
     trace_i = np.empty(horizon)
     trace_n = np.empty(horizon, dtype=np.int64)
@@ -240,18 +307,22 @@ def run(scenario: Scenario) -> Trace:
     v_init = initial_sensed_voltage(scenario)
     delay = scenario.sensing_delay
     ctrl = scenario.controller
+    plan_at = 0 if ctrl is not None else horizon  # the next control step
     flex_on = connected
 
     for t in range(horizon):
-        vs = source_voltage(scenario, t)
+        vs = v_sag if d.t_start <= t < d.t_end else v_base
         sensed = trace_v[t - delay] if t >= delay else v_init
 
         # instructions are consumed within the step that planned them
         commands = None
-        if ctrl is not None and t % ctrl.control_interval == 0:
-            plan = controller_plan(sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on)
+        if t == plan_at:
+            plan_at += ctrl.control_interval
+            plan = controller_plan(
+                sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on[cohort]
+            )
             if has_cmd and plan.actions.any():
-                commands = np.where(cmd_mask, plan.actions, 0)
+                commands = np.where(cmd_mask, plan.actions[first], 0)
 
         if uniform_thresholds:
             trigger = 1 if sensed < v_low0 else (-1 if sensed > v_high0 else 0)
@@ -260,16 +331,15 @@ def run(scenario: Scenario) -> Trace:
             trigger = np.where(sensed < v_low, 1, np.where(sensed > v_high, -1, 0))
             triggered = bool(trigger.any())
         if has_prob:
-            draws = uniform_draws(scenario.seed, t, n)
+            draws = uniform_draws(scenario.seed, t, n)[first]
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
         if not triggered and commands is None:
-            # quiet step: no shift moves, every window sweeps one step
+            # quiet step: no shift moves
             if latch_dirty:
-                latch_side = np.zeros(n, dtype=np.int64)
-                latch_react = np.zeros(n, dtype=bool)
+                latch_side = np.zeros(k, dtype=np.int64)
+                latch_react = np.zeros(k, dtype=bool)
                 latch_dirty = False
-            limit: np.ndarray | int = 1
         else:
             reacts = reactive_mask
             if has_prob:
@@ -294,30 +364,30 @@ def run(scenario: Scenario) -> Trace:
                 allowed = override >= 0
 
             new_shift = np.minimum(np.maximum(shift + applied, min_shift), max_shift)
-            new_lag = phase + (np.where(cmd_mask, 0, new_shift) if has_cmd else new_shift)
-            # window sweep this step: 1 holding, 0 postponing, 2 advancing
-            limit = np.minimum(1 - (new_lag - lag), on_steps)
-            shift, lag = new_shift, new_lag
+            # a postponed window opens later, an advanced one earlier; an
+            # advance may find the window opened one step ago
+            nxt = nxt + (np.where(cmd_mask, 0, new_shift - shift) if has_cmd else new_shift - shift)
+            shift = new_shift
 
-        # --- cycle machine ---
-        pos = (t - lag) % period
-        run_rem = run_rem - connected
-        connected = run_rem > 0
-        starting = (pos < limit) & ~connected
-        run_rem = np.where(starting, on_steps - pos, run_rem)
-        connected = connected | starting
+        # --- cycle machine: a window opening while idle starts a run that
+        # ends with the window; a window opening mid-run is skipped ---
+        np.less_equal(nxt, t, out=opening)
+        np.less_equal(run_end, t, out=starting)
+        starting &= opening
+        np.add(nxt, on_steps, out=run_end, where=starting)
+        np.add(nxt, period, out=nxt, where=opening)
+        connected = run_end > t
 
         flex_on = (connected & allowed) | forced if has_cmd else connected
 
         # --- physical layer ---
-        g_total = float(np.where(flex_on, g_on, g_base).sum())
+        g_total = float(np.where(flex_on, g_on, g_base)[cohort].sum())
         v = vs / (1.0 + r_source * g_total)
-        trace_vs[t] = vs
         trace_v[t] = v
         trace_i[t] = v * g_total
-        trace_n[t] = np.count_nonzero(flex_on)
+        trace_n[t] = np.count_nonzero(flex_on[cohort])
         if trace_shifts is not None:
-            trace_shifts[t] = shift
+            trace_shifts[t] = shift[cohort]
 
     return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts)
 

@@ -6,7 +6,8 @@ shifts were recorded.  Floats render as their shortest round-trip
 representation, so identical runs serialize byte-identically.
 
 The CSV is made in blocks of rows, a column at a time: each column slice
-becomes Python numbers in one call and is formatted by one ``map``, and a
+becomes Python numbers in one call and is formatted by one ``map``, a
+float column formats each distinct bit pattern of the block once, and a
 shift row equal to the row before it reuses that row's text.
 ``write_trace_csv`` writes the blocks as they are made, so a long trace
 never exists as one string; ``trace_to_csv`` joins them.
@@ -32,6 +33,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _float_text(values: np.ndarray) -> Iterator[str]:
+    """``repr`` of each value as a float, formatting each distinct bit
+    pattern once; keyed on bits, so ``-0.0`` and ``0.0`` stay apart."""
+    bits, inverse = np.unique(
+        np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return map(text.__getitem__, inverse.tolist())
+
+
 def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
     """The header line, then the text of each block of up to ``_BLOCK_ROWS`` rows.
 
@@ -49,9 +60,9 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
         stop = min(start + _BLOCK_ROWS, trace.horizon)
         cols = [
             map(str, range(start, stop)),
-            map(repr, trace.v_source[start:stop].tolist()),
-            map(repr, trace.v_load[start:stop].tolist()),
-            map(repr, trace.i_total[start:stop].tolist()),
+            _float_text(trace.v_source[start:stop]),
+            _float_text(trace.v_load[start:stop]),
+            _float_text(trace.i_total[start:stop]),
             map(str, trace.n_flex_on[start:stop].tolist()),
         ]
         if shifts is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from reflexgrid.cli import main
+from reflexgrid.engine import SHIFT_RECORDING_MAX_ENTRIES
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -144,6 +145,19 @@ class TestRun:
         assert header["true"].endswith(",shift_9")
         # auto records the small fleet's shifts but keeps the CSV narrow
         assert header["auto"] == header["false"] == "t,v_source,v_load,i_total,n_flex_on"
+
+    @pytest.mark.parametrize("how", ["flag", "file"])
+    def test_shift_record_over_the_cap_exits_1(self, tmp_path, capsys, how):
+        # 10 agents over this horizon would need more shift entries than allowed
+        horizon = SHIFT_RECORDING_MAX_ENTRIES // 10 + 1
+        text = SMALL.format(rule="reactive", extra="").replace("horizon = 200", f"horizon = {horizon}")
+        path = tmp_path / "long.cfg"
+        path.write_text(text + ("record_shifts = true\n" if how == "file" else ""))
+        out = tmp_path / "out.csv"
+        args = ["run", str(path), "--csv", str(out)] + (["--record-shifts"] if how == "flag" else [])
+        assert main(args) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidate:

@@ -13,10 +13,13 @@ from conftest import build_scenario, run_reference
 from reflexgrid.agents import AgentConfig, Band, RuleKind
 from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 from reflexgrid.engine import (
+    SHIFT_RECORDING_MAX_AGENTS,
+    SHIFT_RECORDING_MAX_ENTRIES,
     Disturbance,
     Metrics,
     Scenario,
     Trace,
+    _cohorts,
     calibrate_nominal,
     compute_metrics,
     run,
@@ -195,6 +198,102 @@ class TestReferenceEquivalence:
         assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
 
 
+@st.composite
+def lumpable_fleets(draw):
+    """Fleets of many copies of a few deterministic agents, drawn from a few
+    phases, with singletons and near-copies that must not share a trajectory:
+    probabilistic and commanded agents, and agents that differ from a copy
+    only in thresholds, ``max_shift`` or circuit branch."""
+    n = draw(st.integers(6, 30))
+    period = draw(st.integers(2, 10))
+    horizon = draw(st.integers(30, 120))
+    t_start = draw(st.sampled_from([0]) | st.integers(0, horizon))
+    controller = draw(st.booleans())
+    phase_pool = draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=3))
+    rule_pool = [RuleKind.REACTIVE] * 4 + [RuleKind.PASSIVE, RuleKind.PROBABILISTIC, RuleKind.COMMANDED]
+    sc = build_scenario(
+        n=n,
+        period=period,
+        on_steps=draw(st.sampled_from([1]) | st.integers(1, period - 1)),
+        phases=draw(st.lists(st.sampled_from(phase_pool), min_size=n, max_size=n)),
+        rules=draw(st.lists(st.sampled_from(rule_pool), min_size=n, max_size=n)),
+        p=draw(st.sampled_from([0.3, 0.7])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon=horizon,
+        t_start=t_start,
+        t_end=draw(st.integers(t_start, horizon)),
+        delta_v=draw(st.sampled_from([0.3, -0.3, 0.05])),
+        controller=controller,
+        control_interval=draw(st.integers(1, 3)),
+        sensing_delay=draw(st.integers(1, 4)),
+        record_shifts=True,
+    )
+    offsets = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.015]), min_size=n, max_size=n))
+    max_shifts = draw(st.lists(st.sampled_from([1, 1, 3]), min_size=n, max_size=n))
+    agents = tuple(
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m)
+        for a, d, m in zip(sc.agents, offsets, max_shifts)
+    )
+    sc = replace(sc, agents=agents)
+    if not controller:
+        wide = Branch(100.0, 35.0)
+        branches = tuple(
+            wide if other else b
+            for b, other in zip(sc.circuit.branches, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        )
+        sc = replace(sc, circuit=CircuitConfig(sc.circuit.r_source, branches))
+    return sc
+
+
+class TestCohorts:
+    """Copies of a deterministic agent are simulated once; the traces must
+    stay those of the per-agent reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lumpable_fleets())
+    def test_lumped_fleets_match_reference(self, sc):
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+    def test_ten_copies_per_cohort(self):
+        sc = build_scenario(RuleKind.REACTIVE, n=300, period=30, on_steps=15, horizon=300,
+                            t_start=40, t_end=100, max_shift=40, record_shifts=True)
+        reps, first, cohort = _cohorts(sc)
+        assert len(reps) == 30
+        assert np.array_equal(first, np.arange(30))
+        assert np.array_equal(cohort, np.arange(300) % 30)
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+    def test_what_keeps_agents_apart(self):
+        sc = build_scenario(RuleKind.REACTIVE, n=8, period=4, on_steps=2, phases=[0] * 8)
+        a = sc.agents
+        agents = (
+            a[0], a[1],  # copies
+            replace(a[2], v_low=a[2].v_low - 0.01),
+            replace(a[3], max_shift=3),
+            replace(a[4], rule=RuleKind.PASSIVE),
+            replace(a[5], rule=RuleKind.PROBABILISTIC),
+            replace(a[6], rule=RuleKind.PROBABILISTIC),
+            a[7],  # a copy on a different branch
+        )
+        branches = sc.circuit.branches[:-1] + (Branch(100.0, 60.0),)
+        sc = replace(sc, agents=agents, circuit=CircuitConfig(sc.circuit.r_source, branches))
+        reps, first, cohort = _cohorts(sc)
+        assert np.array_equal(first, [0, 2, 3, 4, 5, 6, 7])
+        assert np.array_equal(cohort, [0, 0, 1, 2, 3, 4, 5, 6])
+
+    def test_no_copies_means_no_index(self):
+        sc = build_scenario(RuleKind.REACTIVE, n=6, period=6, on_steps=3)
+        reps, first, cohort = _cohorts(sc)
+        assert reps == list(sc.agents)
+        assert first == cohort == slice(None)
+
+
 class TestPassiveBehaviour:
     def test_periodic_with_lcm_of_periods(self):
         sc = build_scenario(RuleKind.PASSIVE, n=2, period=20, horizon=400,
@@ -279,6 +378,22 @@ class TestTraceConsistency:
         assert run(build_scenario(record_shifts=False, **calm)).shifts is None
         assert run(build_scenario(record_shifts=True, **calm)).shifts is not None
         assert run(build_scenario(**calm)).shifts is not None  # small fleet default
+
+    def test_shift_record_over_the_entry_cap_is_rejected(self):
+        n = 1024
+        steps = SHIFT_RECORDING_MAX_ENTRIES // n
+        calm = dict(n=n, period=4, on_steps=2, t_start=0, t_end=0, delta_v=0.0)
+        assert build_scenario(horizon=steps, record_shifts=True, **calm).shifts_recorded
+        with pytest.raises(ValueError, match="entries"):
+            build_scenario(horizon=steps + 1, record_shifts=True, **calm)
+        assert not build_scenario(horizon=steps + 1, record_shifts=False, **calm).shifts_recorded
+
+    def test_automatic_recording_stays_within_both_caps(self):
+        n = SHIFT_RECORDING_MAX_AGENTS
+        steps = SHIFT_RECORDING_MAX_ENTRIES // n
+        calm = dict(n=n, period=4, on_steps=2, t_start=0, t_end=0, delta_v=0.0)
+        assert build_scenario(horizon=steps, **calm).shifts_recorded
+        assert not build_scenario(horizon=steps + 1, **calm).shifts_recorded
 
 
 class TestScenarioValidation:
