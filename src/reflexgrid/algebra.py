@@ -208,18 +208,6 @@ def normalize(p: Polynomial | Iterable[Word]) -> Polynomial:
     return Polynomial.of(p)
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def power(p: Polynomial, n: int) -> Polynomial:
-    return p**n
-
-
 def equals(p: Polynomial, q: Polynomial) -> bool:
     return normalize(p).words == normalize(q).words
 

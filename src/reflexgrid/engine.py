@@ -30,6 +30,22 @@ engine keeps the state of each such cohort once and expands it to agent
 order only where agents are summed, counted, planned for or recorded.  The
 expanded conductances are the same N values in the same order, so the
 result is bit-identical to simulating every agent.
+
+A fleet without probabilistic agents is a deterministic machine, and away
+from the ``max_shift`` clip it does not depend on absolute time or on
+absolute shifts: windows, runs and the next control step only matter
+relative to t.  Between source-voltage changes the engine therefore
+watches for the state after a step, so reduced, to equal the state after
+an earlier step t1 (Brent's power-of-two checkpoint, one saved key, full
+comparison only when the step's voltage equals the checkpoint's).  When
+the state after t2 = t1 + P repeats it, every later step repeats the
+period (t1, t2] with each cohort's shifts moved on by its drift over the
+period, so the engine copies that period forward, whole periods up to the
+next source-voltage change and to the horizon (where a partial last period
+is copied too), and never so far that a drifting cohort's shifts would
+reach the clip.  The copied floats are the ones the same steps would
+compute from the same inputs, so the trace is bit-identical; the
+simulation then resumes from the state advanced by the copied steps.
 """
 
 from __future__ import annotations
@@ -43,13 +59,6 @@ from numpy.random import Generator, Philox
 
 from .agents import AgentConfig, Band, RuleKind, controller_plan
 from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
-
-_RULE_CODES = {
-    RuleKind.PASSIVE: 0,
-    RuleKind.REACTIVE: 1,
-    RuleKind.PROBABILISTIC: 2,
-    RuleKind.COMMANDED: 3,
-}
 
 # automatic shift recording needs a fleet of at most this many agents
 SHIFT_RECORDING_MAX_AGENTS = 1000
@@ -149,6 +158,9 @@ class Trace:
     i_total: np.ndarray
     n_flex_on: np.ndarray
     shifts: np.ndarray | None = None
+    # (t1, P) of the last limit cycle the engine copied forward: the state
+    # after step t1 + P equaled the state after step t1, shifts aside
+    cycle: tuple[int, int] | None = None
 
     @property
     def horizon(self) -> int:
@@ -247,12 +259,11 @@ def run(scenario: Scenario) -> Trace:
     max_shift = np.array([a.max_shift for a in cfgs], dtype=np.int64)
     min_shift = -max_shift
     prob = np.array([a.p for a in cfgs])
-    rule = np.array([_RULE_CODES[a.rule] for a in cfgs], dtype=np.int8)
     latch_cfg = np.array([a.p_latch for a in cfgs], dtype=bool)
 
-    reactive_mask = rule == _RULE_CODES[RuleKind.REACTIVE]
-    prob_mask = rule == _RULE_CODES[RuleKind.PROBABILISTIC]
-    cmd_mask = rule == _RULE_CODES[RuleKind.COMMANDED]
+    reactive_mask = np.array([a.rule is RuleKind.REACTIVE for a in cfgs], dtype=bool)
+    prob_mask = np.array([a.rule is RuleKind.PROBABILISTIC for a in cfgs], dtype=bool)
+    cmd_mask = np.array([a.rule is RuleKind.COMMANDED for a in cfgs], dtype=bool)
     senses = reactive_mask | prob_mask
     has_prob = bool(prob_mask.any())
     has_cmd = bool(cmd_mask.any())
@@ -310,7 +321,18 @@ def run(scenario: Scenario) -> Trace:
     plan_at = 0 if ctrl is not None else horizon  # the next control step
     flex_on = connected
 
-    for t in range(horizon):
+    # limit-cycle watch (fleets without draws): the state key after step t
+    # is checkpointed at Brent's powers of two, and a step whose voltage
+    # equals the checkpoint's compares keys; lo/hi are each cohort's
+    # unclipped shift extremes since the checkpoint
+    watch = not has_prob
+    changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
+    ck_t, ck_v, ck_key, ck_shift, power = -1, np.nan, b"", shift, 0
+    lo = hi = shift
+    cycle = None
+
+    t = 0
+    while t < horizon:
         vs = v_sag if d.t_start <= t < d.t_end else v_base
         sensed = trace_v[t - delay] if t >= delay else v_init
 
@@ -363,7 +385,11 @@ def run(scenario: Scenario) -> Trace:
                 forced = override > 0
                 allowed = override >= 0
 
-            new_shift = np.minimum(np.maximum(shift + applied, min_shift), max_shift)
+            moved = shift + applied
+            if watch:
+                lo = np.minimum(lo, moved)
+                hi = np.maximum(hi, moved)
+            new_shift = np.minimum(np.maximum(moved, min_shift), max_shift)
             # a postponed window opens later, an advanced one earlier; an
             # advance may find the window opened one step ago
             nxt = nxt + (np.where(cmd_mask, 0, new_shift - shift) if has_cmd else new_shift - shift)
@@ -389,7 +415,77 @@ def run(scenario: Scenario) -> Trace:
         if trace_shifts is not None:
             trace_shifts[t] = shift[cohort]
 
-    return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts)
+        if watch and t >= delay - 1:
+            if v == ck_v and _state_key(t, nxt, run_end, override, plan_at - t if ctrl else 0,
+                                        trace_v, delay) == ck_key:
+                p_len = t - ck_t
+                drift = shift - ck_shift
+                # steps to copy: up to the next source-voltage change, or to
+                # the horizon with a partial last period, and only whole
+                # periods whose shifts stay clear of the clip; a cohort
+                # without drift repeats its absolute state, clips included
+                end = min([c for c in changes if c > t], default=horizon)
+                steps = end - 1 - t
+                copies = -(-steps // p_len) if end == horizon else steps // p_len
+                moving = drift != 0
+                if (((lo < min_shift) | (hi > max_shift)) & moving).any():
+                    copies = 0
+                elif moving.any():
+                    room = np.where(drift > 0, max_shift - hi, lo - min_shift)
+                    copies = min(copies, int((room[moving] // np.abs(drift[moving])).min()))
+                steps = min(steps, copies * p_len)
+                if steps > 0:
+                    _copy_periods(trace_v, trace_i, trace_n, trace_shifts, ck_t, t, steps, drift[cohort])
+                    nxt = nxt + steps
+                    run_end = run_end + steps
+                    shift = shift + steps // p_len * drift
+                    plan_at += steps
+                    t += steps
+                    cycle = (ck_t, p_len)
+                power = 0  # restart
+            restart = power == 0 or t + 1 in changes
+            if restart or t - ck_t == power:
+                power = 1 if restart else 2 * power
+                ck_t, ck_v, ck_shift = t, float(trace_v[t]), shift
+                ck_key = _state_key(t, nxt, run_end, override, plan_at - t if ctrl else 0, trace_v, delay)
+                lo = hi = shift
+        t += 1
+
+    return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts, cycle)
+
+
+def _state_key(t, nxt, run_end, override, plan_in, trace_v, delay) -> bytes:
+    """Everything the steps after t read of a deterministic fleet's state,
+    less absolute time and shifts, as bytes.
+
+    Windows and the next control step (``plan_in`` steps on; 0 without a
+    controller) are kept relative to t, a run that has ended counts as 0
+    steps left however long ago it ended, and the voltages are the ones the
+    next ``delay`` steps sense.
+    """
+    return b"".join((
+        (nxt - t).tobytes(),
+        np.maximum(run_end - t, 0).tobytes(),
+        override.tobytes(),
+        np.int64(plan_in).tobytes(),
+        trace_v[t + 1 - delay : t + 1].tobytes(),
+    ))
+
+
+def _copy_periods(trace_v, trace_i, trace_n, trace_shifts, t1, t2, steps, drift) -> None:
+    """Fill steps (t2, t2 + steps] with the period (t1, t2], one copy at a
+    time, adding ``drift`` to the shifts once per copy."""
+    p_len = t2 - t1
+    stop = t2 + 1 + steps
+    for j, dst in enumerate(range(t2 + 1, stop, p_len), 1):
+        w = min(p_len, stop - dst)
+        src = slice(t1 + 1, t1 + 1 + w)
+        out = slice(dst, dst + w)
+        trace_v[out] = trace_v[src]
+        trace_i[out] = trace_i[src]
+        trace_n[out] = trace_n[src]
+        if trace_shifts is not None:
+            np.add(trace_shifts[src], (j * drift).astype(np.int32), out=trace_shifts[out])
 
 
 def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metrics:

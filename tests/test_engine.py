@@ -3,10 +3,11 @@ the control invariants behind the herding story, and metrics."""
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from conftest import build_scenario, run_reference
@@ -25,6 +26,9 @@ from reflexgrid.engine import (
     run,
     uniform_draws,
 )
+from reflexgrid.scenariofile import load_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:
@@ -292,6 +296,100 @@ class TestCohorts:
         reps, first, cohort = _cohorts(sc)
         assert reps == list(sc.agents)
         assert first == cohort == slice(None)
+
+
+@st.composite
+def cycling_fleets(draw):
+    """Deterministic fleets (passive, reactive and commanded agents) over
+    horizons of many duty periods, so the state repeats and the engine
+    copies periods forward.  Small ``max_shift`` makes drifting copies run
+    into the clip, and a disturbance that starts late arrives after a cycle
+    has formed."""
+    n = draw(st.integers(1, 8))
+    period = draw(st.integers(2, 8))
+    horizon = draw(st.integers(80, 400))
+    t_start = draw(st.integers(0, horizon) | st.integers(horizon // 2, horizon))
+    rules = draw(st.lists(
+        st.sampled_from([RuleKind.PASSIVE, RuleKind.REACTIVE, RuleKind.REACTIVE, RuleKind.COMMANDED]),
+        min_size=n, max_size=n,
+    ))
+    sc = build_scenario(
+        n=n,
+        period=period,
+        on_steps=draw(st.integers(1, period - 1)),
+        phases=draw(st.lists(st.integers(0, period - 1), min_size=n, max_size=n)),
+        rules=rules,
+        horizon=horizon,
+        t_start=t_start,
+        t_end=draw(st.integers(t_start, min(horizon, t_start + 40))),
+        delta_v=draw(st.sampled_from([0.3, -0.3, 0.05])),
+        max_shift=draw(st.integers(0, 4)),
+        controller=draw(st.booleans()),
+        control_interval=draw(st.integers(1, 3)),
+        sensing_delay=draw(st.integers(1, 4)),
+        record_shifts=True,
+    )
+    offsets = draw(st.lists(st.sampled_from([0.0, 0.0, -0.02, 0.02]), min_size=n, max_size=n))
+    max_shifts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    agents = tuple(
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m)
+        for a, d, m in zip(sc.agents, offsets, max_shifts)
+    )
+    return replace(sc, agents=agents)
+
+
+def _herd_n1000() -> Scenario:
+    """Scenario A at 1000 appliances over 100 000 steps (acceptance 9)."""
+    n = 1000
+    circuit = CircuitConfig.homogeneous(n, 0.08, 1000.0, 500.0)
+    proto = [AgentConfig(i, 100, 50, i % 100, RuleKind.PASSIVE, 0.0, 1.0) for i in range(n)]
+    _, band = calibrate_nominal(circuit, proto, 10.0)
+    agents = tuple(
+        AgentConfig(i, 100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high, max_shift=1000)
+        for i in range(n)
+    )
+    return Scenario(circuit, 10.0, Disturbance(1000, 1200, 0.3), agents, band, 100_000, 1,
+                    sensing_delay=3, record_shifts=False)
+
+
+class TestLimitCycles:
+    """A deterministic fleet whose state repeats is copied forward a period
+    at a time; the traces must stay those of the per-agent reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycling_fleets())
+    @example(build_scenario(  # repeats every 2 steps, but plans every 3
+        n=2, period=2, on_steps=1, phases=[1, 1], rules=[RuleKind.COMMANDED, RuleKind.PASSIVE],
+        horizon=138, t_start=18, t_end=44, delta_v=0.05, max_shift=2, controller=True,
+        control_interval=3, sensing_delay=1, record_shifts=True,
+    ))
+    @example(build_scenario(  # the copies stop short of the clip and the loop resumes
+        n=1, period=5, on_steps=2, phases=[3], horizon=156, t_start=50, t_end=62,
+        max_shift=2, sensing_delay=1, record_shifts=True,
+    ))
+    def test_copied_periods_match_reference(self, sc):
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        event(f"copied a cycle: {engine_trace.cycle is not None}")
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+    @pytest.mark.parametrize("name, period", [("a", 1090), ("b", None), ("c", 100)])
+    def test_shipped_scenarios(self, name, period):
+        trace = run(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario)
+        assert (trace.cycle and trace.cycle[1]) == period
+
+    def test_herd_at_1000_appliances(self):
+        trace = run(_herd_n1000())
+        t1, period = trace.cycle
+        assert period == 1090
+        assert t1 >= 1200  # found after the disturbance
+        assert np.array_equal(trace.v_load[t1 + 1 : -period], trace.v_load[t1 + 1 + period :])
+
+    def test_no_cycle_without_a_repeat(self):
+        # a horizon as long as the duty period: no state has repeated yet
+        trace = run(build_scenario(RuleKind.REACTIVE, horizon=20, t_start=5, t_end=10))
+        assert trace.cycle is None
 
 
 class TestPassiveBehaviour:
