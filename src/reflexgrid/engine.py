@@ -31,9 +31,9 @@ order only where agents are summed, counted, planned for or recorded.  The
 expanded conductances are the same N values in the same order, so the
 result is bit-identical to simulating every agent.
 
-A fleet without probabilistic agents is a deterministic machine, and away
-from the ``max_shift`` clip it does not depend on absolute time or on
-absolute shifts: windows, runs and the next control step only matter
+A fleet without probabilistic agents or a controller is a deterministic
+machine, and away from the ``max_shift`` clip it does not depend on
+absolute time or on absolute shifts: windows and runs only matter
 relative to t.  Between source-voltage changes the engine therefore
 watches for the state after a step, so reduced, to equal the state after
 an earlier step t1 (Brent's power-of-two checkpoint, one saved key, full
@@ -45,7 +45,9 @@ next source-voltage change and to the horizon (where a partial last period
 is copied too), and never so far that a drifting cohort's shifts would
 reach the clip.  The copied floats are the ones the same steps would
 compute from the same inputs, so the trace is bit-identical; the
-simulation then resumes from the state advanced by the copied steps.
+simulation then resumes from the state advanced by the copied steps.  A
+controller fleet is always simulated step by step, so the planner runs on
+every control step.
 """
 
 from __future__ import annotations
@@ -321,11 +323,11 @@ def run(scenario: Scenario) -> Trace:
     plan_at = 0 if ctrl is not None else horizon  # the next control step
     flex_on = connected
 
-    # limit-cycle watch (fleets without draws): the state key after step t
-    # is checkpointed at Brent's powers of two, and a step whose voltage
-    # equals the checkpoint's compares keys; lo/hi are each cohort's
-    # unclipped shift extremes since the checkpoint
-    watch = not has_prob
+    # limit-cycle watch (fleets without draws or a controller): the state
+    # key after step t is checkpointed at Brent's powers of two, and a step
+    # whose voltage equals the checkpoint's compares keys; lo/hi are each
+    # cohort's unclipped shift extremes since the checkpoint
+    watch = not has_prob and ctrl is None
     changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
     ck_t, ck_v, ck_key, ck_shift, power = -1, np.nan, b"", shift, 0
     lo = hi = shift
@@ -416,8 +418,7 @@ def run(scenario: Scenario) -> Trace:
             trace_shifts[t] = shift[cohort]
 
         if watch and t >= delay - 1:
-            if v == ck_v and _state_key(t, nxt, run_end, override, plan_at - t if ctrl else 0,
-                                        trace_v, delay) == ck_key:
+            if v == ck_v and _state_key(t, nxt, run_end, trace_v, delay) == ck_key:
                 p_len = t - ck_t
                 drift = shift - ck_shift
                 # steps to copy: up to the next source-voltage change, or to
@@ -439,7 +440,6 @@ def run(scenario: Scenario) -> Trace:
                     nxt = nxt + steps
                     run_end = run_end + steps
                     shift = shift + steps // p_len * drift
-                    plan_at += steps
                     t += steps
                     cycle = (ck_t, p_len)
                 power = 0  # restart
@@ -447,27 +447,25 @@ def run(scenario: Scenario) -> Trace:
             if restart or t - ck_t == power:
                 power = 1 if restart else 2 * power
                 ck_t, ck_v, ck_shift = t, float(trace_v[t]), shift
-                ck_key = _state_key(t, nxt, run_end, override, plan_at - t if ctrl else 0, trace_v, delay)
+                ck_key = _state_key(t, nxt, run_end, trace_v, delay)
                 lo = hi = shift
         t += 1
 
     return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts, cycle)
 
 
-def _state_key(t, nxt, run_end, override, plan_in, trace_v, delay) -> bytes:
+def _state_key(t, nxt, run_end, trace_v, delay) -> bytes:
     """Everything the steps after t read of a deterministic fleet's state,
     less absolute time and shifts, as bytes.
 
-    Windows and the next control step (``plan_in`` steps on; 0 without a
-    controller) are kept relative to t, a run that has ended counts as 0
-    steps left however long ago it ended, and the voltages are the ones the
-    next ``delay`` steps sense.
+    Windows are kept relative to t, a run that has ended counts as 0 steps
+    left however long ago it ended, and the voltages are the ones the next
+    ``delay`` steps sense.  Without a controller no instruction is issued,
+    so the override stays 0 and is left out.
     """
     return b"".join((
         (nxt - t).tobytes(),
         np.maximum(run_end - t, 0).tobytes(),
-        override.tobytes(),
-        np.int64(plan_in).tobytes(),
         trace_v[t + 1 - delay : t + 1].tobytes(),
     ))
 

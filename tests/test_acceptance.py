@@ -268,5 +268,6 @@ def test_acceptance_9_performance_floor():
     elapsed = time.monotonic() - start
     assert trace.horizon == horizon
     assert trace.shifts is None
+    assert trace.cycle[1] == 1090 and trace.cycle[0] >= 1200  # the herd, after the sag
     assert elapsed <= 10.0
     print(f"\nACCEPTANCE 9 (1000 agents x 100k steps in {elapsed:.2f}s): PASS")
