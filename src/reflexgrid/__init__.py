@@ -36,7 +36,6 @@ from .algebra import (
     equals,
     parse,
     reflection_depth,
-    to_canonical_string,
 )
 from .awareness import (
     AwarenessDecl,
@@ -105,7 +104,6 @@ __all__ = [
     "run",
     "solve",
     "standard_declaration",
-    "to_canonical_string",
     "uniform_draws",
     "v_load_for_count",
     "validate_awareness",

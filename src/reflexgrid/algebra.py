@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Container, Iterable, Iterator, Sequence, Union
 
 
 class ExpressionError(ValueError):
@@ -212,8 +212,9 @@ def equals(p: Polynomial, q: Polynomial) -> bool:
     return normalize(p).words == normalize(q).words
 
 
-def contains_word(p: Polynomial, w: Word) -> bool:
-    return w in p.words
+def contains_word(p: Container[Word], w: Word) -> bool:
+    """Whether ``w`` is a word of ``p``, a polynomial or any other container of words."""
+    return w in p
 
 
 def apply_awareness(omega: Polynomial, observers: Sequence[Atom]) -> Polynomial:
@@ -225,10 +226,6 @@ def apply_awareness(omega: Polynomial, observers: Sequence[Atom]) -> Polynomial:
         raise ValueError("awareness step requires at least one observer")
     step = UNIT + Polynomial.of(Word((a,)) for a in observers)
     return omega * step
-
-
-def to_canonical_string(p: Polynomial) -> str:
-    return str(p)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +354,8 @@ class _Parser:
 def parse(text: str) -> Polynomial:
     """Parse expression text into a normalized polynomial.
 
-    Round-trips with ``to_canonical_string``:
-    ``parse(to_canonical_string(p)) == p`` for every polynomial ``p``.
+    Round-trips with the canonical form that ``str`` prints:
+    ``parse(str(p)) == p`` for every polynomial ``p``.
     """
     return _Parser(text).parse()
 

@@ -5,6 +5,14 @@ whose policies, who receives controller instructions) determines a
 polynomial over reflection words.  Each decision rule needs certain words
 to be present, or the agent would be reacting to information it does not
 have; the validator reports every missing word.
+
+The validator never lists that polynomial.  Full peer awareness has N² + N + 1
+words, but in the factored form the paper writes,
+T(1 + [c senses T]·c + Σ_a ([a senses T] + images(a) + [a has a channel]·c)·a),
+deciding whether a word is present costs a few lookups in the wiring itself.  So
+validation takes time linear in the words required and memory linear in the
+agents.  ``derive_structure`` still builds the full polynomial; it is the
+reference that the factored membership is tested against.
 """
 
 from __future__ import annotations
@@ -86,6 +94,55 @@ def standard_declaration(
     )
 
 
+class _FactoredStructure:
+    """Membership in ``derive_structure(decl)`` without listing its words.
+
+    Per agent atom it keeps whether the atom senses the root, the atoms it
+    holds images of, and whether it has a controller channel.  The image sets
+    are the declaration's own frozensets, not copies, unless several agents
+    share one atom: the structure then holds the union of their wirings, as
+    ``derive_structure`` does.
+    """
+
+    __slots__ = ("root", "controller", "sensing_controller", "agents")
+
+    def __init__(self, decl: AwarenessDecl):
+        self.root = decl.root
+        self.controller = decl.controller_atom
+        self.sensing_controller = decl.controller_atom if decl.controller_senses_root else None
+        agents: dict[Atom, tuple[bool, frozenset[Atom], bool]] = {}
+        wiring = zip(decl.agent_atoms, decl.senses_root, decl.peer_images, decl.controller_channel)
+        for a, senses, images, channel in wiring:
+            prior = agents.get(a)
+            if prior is not None:
+                was_sensing, had_images, had_channel = prior
+                senses = senses or was_sensing
+                images = images if images is had_images else images | had_images
+                channel = channel or had_channel
+            agents[a] = (senses, images, channel)
+        self.agents = agents
+
+    def __contains__(self, word: Word) -> bool:
+        atoms = word.atoms
+        n = len(atoms)
+        # identity first: the validator's words hold the declaration's own root
+        if n == 0 or n > 3 or (atoms[0] is not self.root and atoms[0] != self.root):
+            return False
+        if n == 1:
+            return True
+        if n == 2:  # T a for an agent that senses, or T c
+            entry = self.agents.get(atoms[1])
+            if entry is not None and entry[0]:
+                return True
+            return self.sensing_controller is not None and atoms[1] == self.sensing_controller
+        # T p a for p among a's images, or T c a over a channel
+        entry = self.agents.get(atoms[2])
+        if entry is None:
+            return False
+        _, images, channel = entry
+        return atoms[1] in images or (channel and atoms[1] == self.controller)
+
+
 def derive_structure(decl: AwarenessDecl) -> Polynomial:
     """The reflexive-system polynomial afforded by the wiring."""
     words = [Word((decl.root,))]
@@ -104,6 +161,29 @@ def derive_structure(decl: AwarenessDecl) -> Polynomial:
     return Polynomial.of(words)
 
 
+def _required_words(
+    rule: RuleKind,
+    root: Atom,
+    agent_atom: Atom,
+    agent_atoms: Sequence[Atom],
+    controller_atom: Atom | None,
+) -> list[Word]:
+    """The words of ``rule_requirements``, repeated once per repeat in ``agent_atoms``."""
+    if rule is RuleKind.PASSIVE:
+        return []
+    if rule is RuleKind.REACTIVE:
+        return [Word((root, agent_atom))]
+    if rule is RuleKind.PROBABILISTIC:
+        # the agent senses the signal and holds an image of how every agent,
+        # itself included, will react to it
+        return [Word((root, agent_atom)), *(Word((root, peer, agent_atom)) for peer in agent_atoms)]
+    if rule is RuleKind.COMMANDED:
+        if controller_atom is None:
+            raise ValueError("a commanded rule requires a controller atom")
+        return [Word((root, controller_atom, agent_atom))]
+    raise ValueError(f"unknown rule kind: {rule!r}")
+
+
 def rule_requirements(
     rule: RuleKind,
     root: Atom,
@@ -112,21 +192,7 @@ def rule_requirements(
     controller_atom: Atom | None = None,
 ) -> frozenset[Word]:
     """Words a rule needs in the structure of awareness to be coherent."""
-    if rule is RuleKind.PASSIVE:
-        return frozenset()
-    if rule is RuleKind.REACTIVE:
-        return frozenset([Word((root, agent_atom))])
-    if rule is RuleKind.PROBABILISTIC:
-        # the agent senses the signal and holds an image of how every agent,
-        # itself included, will react to it
-        own = Word((root, agent_atom))
-        peers = (Word((root, peer, agent_atom)) for peer in agent_atoms)
-        return frozenset([own, *peers])
-    if rule is RuleKind.COMMANDED:
-        if controller_atom is None:
-            raise ValueError("a commanded rule requires a controller atom")
-        return frozenset([Word((root, controller_atom, agent_atom))])
-    raise ValueError(f"unknown rule kind: {rule!r}")
+    return frozenset(_required_words(rule, root, agent_atom, agent_atoms, controller_atom))
 
 
 def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[Violation]:
@@ -137,10 +203,12 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
     """
     if len(rules) != len(decl.agent_atoms):
         raise ValueError("one rule per agent is required")
-    structure = derive_structure(decl)
+    structure = _FactoredStructure(decl)
+    # without repeated atoms no required word repeats, so each is looked up once
+    distinct_atoms = tuple(dict.fromkeys(decl.agent_atoms))
     violations: list[Violation] = []
     for i, (a, rule) in enumerate(zip(decl.agent_atoms, rules)):
-        required = rule_requirements(rule, decl.root, a, decl.agent_atoms, decl.controller_atom)
+        required = _required_words(rule, decl.root, a, distinct_atoms, decl.controller_atom)
         missing = [word for word in required if not contains_word(structure, word)]
         missing.sort(key=lambda w: w.sort_key)
         violations += (Violation(agent_id=i, rule=rule, missing=word) for word in missing)

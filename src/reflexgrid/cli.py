@@ -168,7 +168,7 @@ def _cmd_validate(args) -> int:
 def _cmd_algebra(args) -> int:
     try:
         if args.mode == "eval":
-            print(algebra.to_canonical_string(algebra.parse(args.expression)))
+            print(algebra.parse(args.expression))
         elif args.mode == "equals":
             left = algebra.parse(args.left)
             right = algebra.parse(args.right)
@@ -176,7 +176,7 @@ def _cmd_algebra(args) -> int:
         else:  # awareness
             base = algebra.parse(args.base)
             observers = [algebra.atom(text) for text in args.observers]
-            print(algebra.to_canonical_string(algebra.apply_awareness(base, observers)))
+            print(algebra.apply_awareness(base, observers))
     except (algebra.ExpressionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

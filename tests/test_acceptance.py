@@ -24,7 +24,6 @@ from reflexgrid.algebra import (
     equals,
     normalize,
     parse,
-    to_canonical_string,
 )
 from reflexgrid.awareness import standard_declaration, validate_awareness
 from reflexgrid.circuit import Branch, CircuitConfig, LoadState, solve
@@ -100,7 +99,7 @@ def test_acceptance_2_algebra_laws():
         assert p * UNIT == p and UNIT * p == p
         assert p**0 == UNIT
         assert normalize(normalize(p)) == normalize(p)
-        assert parse(to_canonical_string(p)) == p
+        assert parse(str(p)) == p
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 2 (algebra laws, {cases} cases/law): PASS ({elapsed:.3f}s)")

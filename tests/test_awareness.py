@@ -1,5 +1,7 @@
 """Wiring-to-polynomial derivation and the rule-requirement validator."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from reflexgrid.algebra import Atom, Word, contains_word, equals, parse
 from reflexgrid.awareness import (
     AwarenessDecl,
     Violation,
+    _FactoredStructure,
     derive_structure,
     rule_requirements,
     standard_declaration,
@@ -169,6 +172,9 @@ def wirings(draw):
         )
     )
     atoms = tuple(Atom(letter, index) for letter, index in keys)
+    # several agents may share one atom; the structure unions their wiring
+    repeats = draw(st.lists(st.sampled_from(atoms), max_size=2))
+    atoms = tuple(draw(st.permutations(atoms + tuple(repeats))))
     n = len(atoms)
     has_controller = draw(st.booleans())
     bools = st.lists(st.booleans(), min_size=n, max_size=n)
@@ -208,3 +214,79 @@ def test_one_module_level_lookup_per_required_word(monkeypatch):
     monkeypatch.setattr(reflexgrid.awareness, "contains_word", counting)
     validate_awareness(decl, [RuleKind.PROBABILISTIC] * n)
     assert len(calls) == n * (n + 1)
+
+
+def _replace_one(word, alphabet):
+    for i in range(len(word)):
+        for x in alphabet:
+            yield Word(word.atoms[:i] + (x,) + word.atoms[i + 1 :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factored_membership_matches_derived_structure(data):
+    decl, _ = data.draw(wirings())
+    words = derive_structure(decl).words
+    alphabet = sorted({T, C, Atom("z"), *decl.agent_atoms}, key=lambda a: a.sort_key)
+    drawn = data.draw(st.lists(st.lists(st.sampled_from(alphabet), max_size=4), max_size=20))
+    probes = [Word(tuple(atoms)) for atoms in drawn]
+    # every member, and every word one atom away from one, where a wrong answer hides
+    probes += [w for member in words for w in (member, *_replace_one(member, alphabet))]
+    structure = _FactoredStructure(decl)
+    for word in probes:
+        assert (word in structure) == (word in words), word
+
+
+def test_repeated_atoms_are_looked_up_once(monkeypatch):
+    a0, a1 = Atom("a", 0), Atom("a", 1)
+    decl = AwarenessDecl(
+        root=T,
+        agent_atoms=(a0, a1, a0),
+        senses_root=(False, True, False),
+        peer_images=(frozenset(), frozenset({a1}), frozenset()),
+    )
+    calls = []
+
+    def counting(structure, word):
+        calls.append(word)
+        return contains_word(structure, word)
+
+    monkeypatch.setattr(reflexgrid.awareness, "contains_word", counting)
+    violations = validate_awareness(decl, [RuleKind.PROBABILISTIC] * 3)
+    assert len(calls) == 3 * 3  # Ta, Ta0a and Ta1a for each agent
+    missing = [(v.agent_id, str(v.missing)) for v in violations]
+    a0_missing = ["Ta0", "Ta0a0", "Ta1a0"]
+    assert missing == [(0, w) for w in a0_missing] + [(1, "Ta0a1")] + [(2, w) for w in a0_missing]
+
+
+def test_validation_never_lists_the_structure(monkeypatch):
+    cases = [
+        (standard_declaration(5), [RuleKind.PROBABILISTIC] * 5),
+        (standard_declaration(5, peer_awareness=True), [RuleKind.PROBABILISTIC] * 5),
+        (
+            standard_declaration(5, controller=True),
+            [RuleKind.COMMANDED, RuleKind.PROBABILISTIC] * 2 + [RuleKind.REACTIVE],
+        ),
+    ]
+    expected = [sorted_violations(decl, rules) for decl, rules in cases]
+
+    def refuse(decl):
+        raise AssertionError("validation listed the structure of awareness")
+
+    monkeypatch.setattr(reflexgrid.awareness, "derive_structure", refuse)
+    assert [validate_awareness(decl, rules) for decl, rules in cases] == expected
+
+
+def test_full_peer_validation_memory_is_linear_in_agents():
+    n = 300
+    decl = standard_declaration(n, peer_awareness=True)
+    rules = [RuleKind.PROBABILISTIC] * n
+    tracemalloc.start()
+    try:
+        violations = validate_awareness(decl, rules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert violations == []
+    # listing the structure's N^2 + N + 1 words instead peaks at about 19 MiB
+    assert peak < 2 * 2**20
