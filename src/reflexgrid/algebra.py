@@ -44,6 +44,15 @@ class Atom:
             raise ValueError(f"atom letter must be a single alphabetic character, got {self.letter!r}")
         if self.index is not None and self.index < 0:
             raise ValueError(f"atom index must be non-negative, got {self.index}")
+        # the generated hash would rebuild this tuple on every set lookup;
+        # str hashes differ between processes, so pickles rebuild it
+        object.__setattr__(self, "_hash", hash((self.letter, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.letter, self.index)
 
     @property
     def sort_key(self) -> tuple[str, int]:
@@ -70,6 +79,18 @@ class Word:
     """An ordered run of atoms; the empty run is the unit word, printed "1"."""
 
     atoms: tuple[Atom, ...] = ()
+
+    def __hash__(self) -> int:
+        # cached on first use, not at construction: the validator builds
+        # many words to look up in a structure and never hashes them
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.atoms,)))
+            return self._hash
+
+    def __reduce__(self):
+        return Word, (self.atoms,)
 
     @staticmethod
     def of(*factors: Union[Atom, str]) -> "Word":

@@ -14,7 +14,15 @@ The agent update here is a vectorized twin of ``agents.agent_step``; the
 test suite asserts step-for-step equality between the two.  A quiet step,
 where no sensing agent is outside its thresholds and no instruction is
 issued, skips rule dispatch: no shift moves and only the cycle machine and
-the circuit advance.
+the circuit advance.  Its draws are fetched but not gathered to cohorts.
+
+The circuit depends only on the cohort connection vector, and runs revisit
+few of them, so each run memoizes the total conductance and the connected
+count per vector (keyed on its bytes).  A miss computes them by the same
+expressions, the pairwise sum of the same N values in agent order, so a
+hit returns the bits the step would compute.  The memo is local to the
+run and cleared when it would exceed ``_CIRCUIT_MEMO_BYTES``, counting
+each entry as its key plus 256 bytes.
 
 The cycle machine keeps absolute steps instead of a window position: an
 agent is connected at step t iff t < run_end, and its next window opens at
@@ -66,6 +74,9 @@ from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
 SHIFT_RECORDING_MAX_AGENTS = 1000
 # any shift record holds at most this many int32 entries (256 MiB)
 SHIFT_RECORDING_MAX_ENTRIES = 2**26
+# bytes one run's circuit memo may hold, counting each entry as its k-byte
+# key plus about 256 bytes of dict slot, bytes, tuple and float objects
+_CIRCUIT_MEMO_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -322,6 +333,9 @@ def run(scenario: Scenario) -> Trace:
     ctrl = scenario.controller
     plan_at = 0 if ctrl is not None else horizon  # the next control step
     flex_on = connected
+    # (g_total, n_on) per cohort connection vector, cleared when full
+    circuit_memo: dict[bytes, tuple[float, int]] = {}
+    memo_entries = max(1, _CIRCUIT_MEMO_BYTES // (k + 256))
 
     # limit-cycle watch (fleets without draws or a controller): the state
     # key after step t is checkpointed at Brent's powers of two, and a step
@@ -355,7 +369,7 @@ def run(scenario: Scenario) -> Trace:
             trigger = np.where(sensed < v_low, 1, np.where(sensed > v_high, -1, 0))
             triggered = bool(trigger.any())
         if has_prob:
-            draws = uniform_draws(scenario.seed, t, n)[first]
+            draws = uniform_draws(scenario.seed, t, n)
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
         if not triggered and commands is None:
@@ -367,7 +381,7 @@ def run(scenario: Scenario) -> Trace:
         else:
             reacts = reactive_mask
             if has_prob:
-                hit = draws < prob
+                hit = draws[first] < prob
                 if has_latch:
                     active = latched & (trigger != 0)
                     new_episode = active & (latch_side != trigger)
@@ -409,11 +423,20 @@ def run(scenario: Scenario) -> Trace:
         flex_on = (connected & allowed) | forced if has_cmd else connected
 
         # --- physical layer ---
-        g_total = float(np.where(flex_on, g_on, g_base)[cohort].sum())
+        key = flex_on.tobytes()
+        solved = circuit_memo.get(key)
+        if solved is None:
+            if len(circuit_memo) >= memo_entries:
+                circuit_memo.clear()
+            solved = circuit_memo[key] = (
+                float(np.where(flex_on, g_on, g_base)[cohort].sum()),
+                np.count_nonzero(flex_on[cohort]),
+            )
+        g_total, n_on = solved
         v = vs / (1.0 + r_source * g_total)
         trace_v[t] = v
         trace_i[t] = v * g_total
-        trace_n[t] = np.count_nonzero(flex_on[cohort])
+        trace_n[t] = n_on
         if trace_shifts is not None:
             trace_shifts[t] = shift[cohort]
 

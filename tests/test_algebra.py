@@ -1,7 +1,15 @@
 """Fixtures for the algebra: the worked reflexive-system expansions plus
 parser and operation behaviour."""
 
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
+
 import pytest
+
+import reflexgrid
 
 from reflexgrid.algebra import (
     UNIT,
@@ -169,6 +177,26 @@ class TestAtoms:
         assert Atom("a") != Atom("a", 0)
         assert Atom("a", 1) == atom("a1")
         assert atom("a") == Atom("a")
+
+    def test_cached_hash_is_the_fields_hash(self):
+        t, a3 = Atom("T"), Atom("a", 3)
+        assert hash(a3) == hash(("a", 3))
+        assert hash(Word((t, a3))) == hash(((t, a3),))
+        assert hash(replace(a3, index=4)) == hash(("a", 4))
+        assert Atom("a", 0) not in {Atom("a")}
+        assert Word.of("Ta3") in {Word((t, a3))}
+
+    def test_pickles_rehash_in_another_process(self):
+        # str hashes differ between processes, so a cached hash must not travel
+        src = os.path.dirname(os.path.dirname(reflexgrid.__file__))
+        data = pickle.dumps({Word.of("Ta3")}).hex()
+        code = (
+            "import pickle; from reflexgrid.algebra import Word; "
+            f"print(Word.of('Ta3') in pickle.loads(bytes.fromhex('{data}')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="random")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
 
     def test_atom_validation(self):
         with pytest.raises(ValueError):

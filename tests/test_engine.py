@@ -298,6 +298,35 @@ class TestCohorts:
         assert first == cohort == slice(None)
 
 
+class TestCircuitMemo:
+    """The circuit sum and count are memoized per connection vector; a memo
+    that holds one entry misses and evicts on almost every step, and the
+    traces must not change."""
+
+    @pytest.mark.parametrize("name", ["b", "c"])
+    def test_single_entry_memo_is_bit_identical(self, monkeypatch, name):
+        import reflexgrid.engine
+
+        sc = replace(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario, record_shifts=True)
+        full = run(sc)
+        monkeypatch.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+        evicting = run(sc)
+        assert traces_equal(evicting, full)
+        assert np.array_equal(evicting.shifts, full.shifts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_fleets(), lumpable_fleets()))
+    def test_single_entry_memo_matches_reference(self, sc):
+        import reflexgrid.engine
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+            engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+
 @st.composite
 def cycling_fleets(draw):
     """Deterministic fleets (passive, reactive and commanded agents) over
