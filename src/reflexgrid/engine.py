@@ -32,6 +32,24 @@ a run to nxt + on_steps, and every opening moves nxt on by a period.  This
 is the ``(t - phase - shift) % period < on_steps`` rule of ``agent_step``
 with no per-step modulo.
 
+A step is free when it moves no shift, issues no instruction and touches
+no latch state: it is quiet, or it triggers but no agent reacts (no draw
+hits).  On a free step nothing but time reaches the cycle machine, so
+fleets with draws or a controller (the others are left to the limit-cycle
+watch below) advance it in free-run blocks: from a
+free step t, the connection vectors of steps [t, t + m) come from a few
+array operations on (nxt, run_end).  With m below every period at most one
+window opens per cohort in the block, at max(nxt, t), and it starts a run
+iff the current one has ended by then, which is what stepping the machine
+m times decides.  Every step in the block still makes its own trigger
+test, its draws call and, on a control step, its plan, in step order; the
+block stops before the first step that is not free, which then dispatches
+with the inputs already fetched, and the machine state is advanced by the
+steps the block committed.  m starts at 1 (such a block is just the
+one-step machine), doubles after a block whose steps were all free, drops
+back to 1 after a stop, and stays below every period and within the
+circuit memo's bytes.
+
 Passive and reactive agents with equal configurations and equal circuit
 branches get equal inputs on every step, so they stay in equal states: the
 engine keeps the state of each such cohort once and expands it to agent
@@ -54,8 +72,8 @@ is copied too), and never so far that a drifting cohort's shifts would
 reach the clip.  The copied floats are the ones the same steps would
 compute from the same inputs, so the trace is bit-identical; the
 simulation then resumes from the state advanced by the copied steps.  A
-controller fleet is always simulated step by step, so the planner runs on
-every control step.
+controller fleet is never copied, so the planner runs on every control
+step.
 """
 
 from __future__ import annotations
@@ -299,8 +317,6 @@ def run(scenario: Scenario) -> Trace:
     nxt = phase
     run_end = on_steps - 1 - (-1 - phase) % period
     connected = run_end >= 0
-    opening = np.empty(k, dtype=bool)
-    starting = np.empty(k, dtype=bool)
     override = np.zeros(k, dtype=np.int64)  # commanded connection mask
     forced = np.zeros(k, dtype=bool)  # override > 0
     allowed = np.ones(k, dtype=bool)  # override >= 0
@@ -347,6 +363,18 @@ def run(scenario: Scenario) -> Trace:
     lo = hi = shift
     cycle = None
 
+    # free-run blocks (the other fleets): from a free step the connection
+    # vectors of the next ``block_len`` steps are computed at once, and
+    # steps use them while they stay free.  ``block_len`` doubles after a
+    # block whose steps were all free and restarts at 1 after a stop; a
+    # block holds at most one window per cohort and no more bytes than the
+    # circuit memo.
+    blocks = not watch
+    max_block = min(int(period.min()) - 1, max(1, _CIRCUIT_MEMO_BYTES // k))
+    block_len = 1
+    rows = None  # the open block's vectors, one row per step from blk_t
+    blk_t = blk_end = 0
+
     t = 0
     while t < horizon:
         vs = v_sag if d.t_start <= t < d.t_end else v_base
@@ -370,29 +398,56 @@ def run(scenario: Scenario) -> Trace:
             triggered = bool(trigger.any())
         if has_prob:
             draws = uniform_draws(scenario.seed, t, n)
+        quiet = not triggered and commands is None
+        if not quiet:
+            # agents that react to the trigger; latched ones are settled below
+            reacts = reactive_mask
+            if has_prob:
+                hit = draws[first] < prob
+                reacts = reacts | (hit & plain)
+
+        # a free step moves no shift, issues no instruction and touches no
+        # latch state
+        free = False
+        if blocks:
+            if quiet:
+                free = not latch_dirty
+            elif commands is None and not has_latch:
+                free = not (reacts & (trigger != 0)).any()
+            if rows is not None and (not free or t == blk_end):
+                # close the block after its steps [blk_t, t)
+                nxt, run_end = _free_run_state(blk_t, t - blk_t, nxt, run_end, on_steps, period)
+                block_len = min(2 * block_len, max_block) if t == blk_end else 1
+                rows = None
+            if free and rows is None:
+                if block_len == 1:
+                    # a block of one step is the one-step machine, which is cheaper
+                    block_len = min(2, max_block)
+                else:
+                    blk_t, blk_end = t, min(t + block_len, horizon)
+                    rows = _free_run_rows(t, blk_end - t, nxt, run_end, on_steps, period)
+                    if has_cmd:
+                        rows &= allowed
+                        rows |= forced
+                    keys = rows.tobytes()  # row i is keys[i * k : (i + 1) * k]
+                    if trace_shifts is not None:
+                        trace_shifts[t:blk_end] = shift[cohort]
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
-        if not triggered and commands is None:
-            # quiet step: no shift moves
+        if quiet:
+            # no shift moves
             if latch_dirty:
                 latch_side = np.zeros(k, dtype=np.int64)
                 latch_react = np.zeros(k, dtype=bool)
                 latch_dirty = False
-        else:
-            reacts = reactive_mask
-            if has_prob:
-                hit = draws[first] < prob
-                if has_latch:
-                    active = latched & (trigger != 0)
-                    new_episode = active & (latch_side != trigger)
-                    latch_react = np.where(new_episode, hit, latch_react) & active
-                    latch_side = np.where(active, trigger, 0)
-                    latch_dirty = True
-                    reacts = reacts | latch_react
-                    hit = hit & plain
-                else:
-                    hit = hit & prob_mask
-                reacts = reacts | hit
+        elif not free:
+            if has_latch:
+                active = latched & (trigger != 0)
+                new_episode = active & (latch_side != trigger)
+                latch_react = np.where(new_episode, hit, latch_react) & active
+                latch_side = np.where(active, trigger, 0)
+                latch_dirty = True
+                reacts = reacts | latch_react
             applied = np.where(reacts, trigger, 0)
             if commands is not None:
                 applied = applied + commands
@@ -411,19 +466,19 @@ def run(scenario: Scenario) -> Trace:
             nxt = nxt + (np.where(cmd_mask, 0, new_shift - shift) if has_cmd else new_shift - shift)
             shift = new_shift
 
-        # --- cycle machine: a window opening while idle starts a run that
-        # ends with the window; a window opening mid-run is skipped ---
-        np.less_equal(nxt, t, out=opening)
-        np.less_equal(run_end, t, out=starting)
-        starting &= opening
-        np.add(nxt, on_steps, out=run_end, where=starting)
-        np.add(nxt, period, out=nxt, where=opening)
-        connected = run_end > t
-
-        flex_on = (connected & allowed) | forced if has_cmd else connected
+        # --- cycle machine ---
+        if rows is not None:
+            i = t - blk_t
+            flex_on = rows[i]
+            key = keys[i * k : i * k + k]
+        else:
+            connected = _cycle_step(t, nxt, run_end, on_steps, period)
+            flex_on = (connected & allowed) | forced if has_cmd else connected
+            key = flex_on.tobytes()
+            if trace_shifts is not None:
+                trace_shifts[t] = shift[cohort]
 
         # --- physical layer ---
-        key = flex_on.tobytes()
         solved = circuit_memo.get(key)
         if solved is None:
             if len(circuit_memo) >= memo_entries:
@@ -437,8 +492,6 @@ def run(scenario: Scenario) -> Trace:
         trace_v[t] = v
         trace_i[t] = v * g_total
         trace_n[t] = n_on
-        if trace_shifts is not None:
-            trace_shifts[t] = shift[cohort]
 
         if watch and t >= delay - 1:
             if v == ck_v and _state_key(t, nxt, run_end, trace_v, delay) == ck_key:
@@ -475,6 +528,46 @@ def run(scenario: Scenario) -> Trace:
         t += 1
 
     return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts, cycle)
+
+
+def _cycle_step(t, nxt, run_end, on_steps, period) -> np.ndarray:
+    """Move the cycle machines through step t in place; returns which are
+    connected.
+
+    A window opening while idle (nxt <= t, one step late after an advance)
+    starts a run that ends with the window; a window opening mid-run is
+    skipped.  Every opening moves nxt on by a period.
+    """
+    opening = nxt <= t
+    starting = opening & (run_end <= t)
+    np.add(nxt, on_steps, out=run_end, where=starting)
+    np.add(nxt, period, out=nxt, where=opening)
+    return run_end > t
+
+
+def _free_run_rows(t, m, nxt, run_end, on_steps, period) -> np.ndarray:
+    """The (m, k) connection vectors of steps [t, t + m) of cycle machines
+    that move no shift, from their state before step t.
+
+    With nxt >= t - 1 and m < period, at most one window opens in the
+    block, at step max(nxt, t).  It starts a run iff the current run has
+    ended by then; otherwise it is skipped and the next opens after the
+    block.  So a machine is connected at s iff s < run_end or w <= s <
+    w + on_steps, where w is the window that starts a run (nxt + period,
+    past the block, when none does).
+    """
+    steps = np.arange(t, t + m)[:, None]
+    w = np.where(run_end <= np.maximum(nxt, t), nxt, nxt + period)
+    rows = steps < run_end
+    rows |= (w <= steps) & (steps < w + on_steps)
+    return rows
+
+
+def _free_run_state(t, m, nxt, run_end, on_steps, period) -> tuple[np.ndarray, np.ndarray]:
+    """(nxt, run_end) after steps [t, t + m) of ``_free_run_rows``."""
+    opened = nxt < t + m
+    starts = opened & (run_end <= np.maximum(nxt, t))
+    return np.where(opened, nxt + period, nxt), np.where(starts, nxt + on_steps, run_end)
 
 
 def _state_key(t, nxt, run_end, trace_v, delay) -> bytes:

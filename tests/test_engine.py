@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from conftest import build_scenario, run_reference
-from reflexgrid.agents import AgentConfig, Band, RuleKind
+from reflexgrid.agents import AgentConfig, Band, RuleKind, controller_plan
 from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 from reflexgrid.engine import (
     SHIFT_RECORDING_MAX_AGENTS,
@@ -21,14 +21,32 @@ from reflexgrid.engine import (
     Scenario,
     Trace,
     _cohorts,
+    _cycle_step,
+    _free_run_rows,
+    _free_run_state,
     calibrate_nominal,
     compute_metrics,
+    initial_sensed_voltage,
     run,
     uniform_draws,
 )
 from reflexgrid.scenariofile import load_scenario
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def block_lengths(monkeypatch) -> list[int]:
+    """The length of every free-run block that later runs open, in order."""
+    import reflexgrid.engine
+
+    lengths = []
+
+    def recording(t, m, *args):
+        lengths.append(m)
+        return _free_run_rows(t, m, *args)
+
+    monkeypatch.setattr(reflexgrid.engine, "_free_run_rows", recording)
+    return lengths
 
 
 def traces_equal(a: Trace, b: Trace) -> bool:
@@ -90,6 +108,36 @@ class TestDeterminism:
         run(build_scenario(rule, n=5, horizon=150, t_start=40, t_end=80))
         assert made == list(range(calls))
 
+        # a long, mostly quiet fleet steps through free-run blocks
+        made.clear()
+        blocks = block_lengths(monkeypatch)
+        run(build_scenario(rule, n=5, p=0.05, horizon=3000, t_start=40, t_end=80))
+        assert made == list(range(3000 if calls else 0))
+        assert max(blocks, default=0) == (19 if calls else 0)
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_one_plan_per_control_step_sees_the_previous_step(self, monkeypatch, interval):
+        import reflexgrid.engine
+
+        seen = []
+
+        def recording(sensed, v_nominal, band, circuit, vs, flex_on):
+            seen.append((sensed, np.count_nonzero(flex_on)))
+            return controller_plan(sensed, v_nominal, band, circuit, vs, flex_on)
+
+        monkeypatch.setattr(reflexgrid.engine, "controller_plan", recording)
+        blocks = block_lengths(monkeypatch)
+        sc = build_scenario(RuleKind.COMMANDED, n=20, horizon=1200, controller=True,
+                            control_interval=interval, t_start=100, t_end=160)
+        trace = run(sc)
+        delay = sc.sensing_delay
+        steps = range(0, sc.horizon, interval)
+        assert [v for v, _ in seen] == [
+            trace.v_load[t - delay] if t >= delay else initial_sensed_voltage(sc) for t in steps
+        ]
+        assert [on for _, on in seen[1:]] == [trace.n_flex_on[t - 1] for t in steps[1:]]
+        assert max(blocks) == 19
+
     def test_seed_must_be_unsigned_64_bit(self):
         with pytest.raises(ValueError):
             build_scenario(seed=-1)
@@ -113,10 +161,13 @@ class TestRuleEquivalences:
 @st.composite
 def small_fleets(draw):
     """Mixed fleets whose agents trigger on different steps, with or without
-    a controller; thresholds move per agent so some steps trigger only some."""
+    a controller; thresholds move per agent so some steps trigger only some.
+    Long horizons and rare hits give long free-run blocks, and some agents
+    run a second period."""
     n = draw(st.integers(1, 8))
-    period = draw(st.integers(2, 12))
-    horizon = draw(st.integers(20, 160))
+    periods = st.integers(2, 12) | st.integers(16, 40)
+    period = draw(periods)
+    horizon = draw(st.integers(20, 160) | st.integers(200, 400))
     t_start = draw(st.integers(0, horizon))
     sc = build_scenario(
         n=n,
@@ -124,7 +175,7 @@ def small_fleets(draw):
         on_steps=draw(st.integers(1, period - 1)),
         phases=draw(st.lists(st.integers(0, period - 1), min_size=n, max_size=n)),
         rules=draw(st.lists(st.sampled_from(list(RuleKind)), min_size=n, max_size=n)),
-        p=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        p=draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0])),
         seed=draw(st.integers(0, 2**64 - 1)),
         horizon=horizon,
         t_start=t_start,
@@ -138,11 +189,17 @@ def small_fleets(draw):
     )
     offsets = draw(st.lists(st.sampled_from([0.0, 0.0, -0.02, 0.02]), min_size=n, max_size=n))
     latches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    periods = draw(st.lists(st.sampled_from([period, draw(periods)]), min_size=n, max_size=n))
     agents = tuple(
-        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, p_latch=latch)
-        for a, d, latch in zip(sc.agents, offsets, latches)
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, p_latch=latch, **_with_period(a, q))
+        for a, d, latch, q in zip(sc.agents, offsets, latches, periods)
     )
     return replace(sc, agents=agents)
+
+
+def _with_period(agent: AgentConfig, period: int) -> dict:
+    """Fields that move ``agent`` to another period, keeping its schedule valid."""
+    return dict(period=period, on_steps=min(agent.on_steps, period - 1), phase=agent.phase % period)
 
 
 class TestReferenceEquivalence:
@@ -206,11 +263,12 @@ class TestReferenceEquivalence:
 def lumpable_fleets(draw):
     """Fleets of many copies of a few deterministic agents, drawn from a few
     phases, with singletons and near-copies that must not share a trajectory:
-    probabilistic and commanded agents, and agents that differ from a copy
-    only in thresholds, ``max_shift`` or circuit branch."""
+    probabilistic (some latched) and commanded agents, and agents that differ
+    from a copy only in thresholds, ``max_shift``, period or circuit branch."""
     n = draw(st.integers(6, 30))
-    period = draw(st.integers(2, 10))
-    horizon = draw(st.integers(30, 120))
+    periods = st.integers(2, 10) | st.integers(16, 40)
+    period = draw(periods)
+    horizon = draw(st.integers(30, 120) | st.integers(200, 400))
     t_start = draw(st.sampled_from([0]) | st.integers(0, horizon))
     controller = draw(st.booleans())
     phase_pool = draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=3))
@@ -221,7 +279,7 @@ def lumpable_fleets(draw):
         on_steps=draw(st.sampled_from([1]) | st.integers(1, period - 1)),
         phases=draw(st.lists(st.sampled_from(phase_pool), min_size=n, max_size=n)),
         rules=draw(st.lists(st.sampled_from(rule_pool), min_size=n, max_size=n)),
-        p=draw(st.sampled_from([0.3, 0.7])),
+        p=draw(st.sampled_from([0.05, 0.3, 0.7])),
         seed=draw(st.integers(0, 2**64 - 1)),
         horizon=horizon,
         t_start=t_start,
@@ -234,9 +292,11 @@ def lumpable_fleets(draw):
     )
     offsets = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.015]), min_size=n, max_size=n))
     max_shifts = draw(st.lists(st.sampled_from([1, 1, 3]), min_size=n, max_size=n))
+    latches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    periods = draw(st.lists(st.sampled_from([period] * 3 + [draw(periods)]), min_size=n, max_size=n))
     agents = tuple(
-        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m)
-        for a, d, m in zip(sc.agents, offsets, max_shifts)
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m, p_latch=latch, **_with_period(a, q))
+        for a, d, m, latch, q in zip(sc.agents, offsets, max_shifts, latches, periods)
     )
     sc = replace(sc, agents=agents)
     if not controller:
@@ -325,6 +385,41 @@ class TestCircuitMemo:
         ref_trace = run_reference(sc)
         assert traces_equal(engine_trace, ref_trace)
         assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+
+@st.composite
+def free_machines(draw):
+    """Cycle machines before step t: windows from one step late (nxt = t - 1,
+    after an advance) to far postponed, runs that ended long ago, end inside
+    a block or past it, ``on_steps`` of 1 or ``period - 1``, mixed periods."""
+    k = draw(st.integers(1, 6))
+    period = draw(st.lists(st.integers(2, 12), min_size=k, max_size=k))
+    on_steps = [draw(st.sampled_from([1, p - 1]) | st.integers(1, p - 1)) for p in period]
+    t = draw(st.integers(0, 40))
+    nxt = [t - 1 + draw(st.sampled_from([0, 1]) | st.integers(0, 3 * p)) for p in period]
+    run_end = [t + draw(st.integers(-2 * p, 2 * p)) for p in period]
+    return t, *(np.array(a, dtype=np.int64) for a in (nxt, run_end, on_steps, period))
+
+
+class TestFreeRunBlocks:
+    """Steps that move no shift, issue no instruction and touch no latch
+    state run in blocks whose connection vectors come in closed form; they
+    must be those of the one-step machine."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(free_machines())
+    @example((5, *(np.array([a]) for a in (4, 5, 2, 6))))  # late opening at an ended run
+    @example((5, *(np.array([a]) for a in (4, 6, 2, 6))))  # late opening mid-run is skipped
+    def test_closed_form_is_the_one_step_machine(self, machines):
+        t, nxt, run_end, on_steps, period = machines
+        stepped_nxt, stepped_end = nxt.copy(), run_end.copy()
+        stepped = []
+        for m in range(1, int(period.min())):
+            stepped.append(_cycle_step(t + m - 1, stepped_nxt, stepped_end, on_steps, period))
+            assert np.array_equal(_free_run_rows(t, m, nxt, run_end, on_steps, period), stepped)
+            after = _free_run_state(t, m, nxt, run_end, on_steps, period)
+            assert np.array_equal(after[0], stepped_nxt)
+            assert np.array_equal(after[1], stepped_end)
 
 
 @st.composite
