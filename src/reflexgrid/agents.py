@@ -80,8 +80,9 @@ class AgentConfig:
     def __post_init__(self):
         if self.agent_id < 0:
             raise ValueError(f"agent_id must be non-negative, got {self.agent_id}")
-        if self.period < 1:
-            raise ValueError(f"period must be positive, got {self.period}")
+        # schedules are int64 in the engine
+        if not 1 <= self.period < 2**63:
+            raise ValueError(f"period must be in [1, 2**63), got {self.period}")
         if not 1 <= self.on_steps < self.period:
             raise ValueError(f"on_steps must be in [1, period), got {self.on_steps}")
         if not 0 <= self.phase < self.period:
@@ -92,8 +93,8 @@ class AgentConfig:
             raise ValueError(f"reaction probability must be in [0, 1], got {self.p}")
         if self.max_shift is None:
             object.__setattr__(self, "max_shift", self.period)
-        elif self.max_shift < 0:
-            raise ValueError(f"max_shift must be non-negative, got {self.max_shift}")
+        elif not 0 <= self.max_shift < 2**63:
+            raise ValueError(f"max_shift must be in [0, 2**63), got {self.max_shift}")
 
 
 @dataclass(frozen=True)

@@ -42,13 +42,27 @@ array operations on (nxt, run_end).  With m below every period at most one
 window opens per cohort in the block, at max(nxt, t), and it starts a run
 iff the current one has ended by then, which is what stepping the machine
 m times decides.  Every step in the block still makes its own trigger
-test, its draws call and, on a control step, its plan, in step order; the
-block stops before the first step that is not free, which then dispatches
-with the inputs already fetched, and the machine state is advanced by the
-steps the block committed.  m starts at 1 (such a block is just the
-one-step machine), doubles after a block whose steps were all free, drops
-back to 1 after a stop, and stays below every period and within the
-circuit memo's bytes.
+test, its draws call and, on a control step, its plan, in step order.
+
+A reacting step inside a block, one where only plain probabilistic
+cohorts move, patches the block instead of closing it.  The state arrays
+hold each untouched cohort's state before the block's first step blk_t.
+A moving cohort is free-run to t, its window moved, and step t run by the
+one-step machine, which opens a window one step late after an advance.
+That state, written back, is the state before t + 1 and has nxt >= t + 1,
+so max(nxt, blk_t) = nxt and the closed form over the rest of the block,
+at its close or at a later patch, treats the cohort exactly as a machine
+that starts at t + 1; its column of the block is rewritten from t on.  A
+block patches at most as many cohorts as it has steps, so that patching
+costs a few scalar operations per step.  Any other step that is not free
+closes the block and dispatches with the inputs already fetched, after
+the machine state is advanced by the steps the block committed: reactive
+cohorts all move on every trigger, latched ones need their episode state
+and commanded ones their override, and those moves run across all
+cohorts at once.  m starts at 1 (such a block is just the one-step
+machine), doubles after a block that ran to its end, drops back to 1
+after a stop, and stays below every period and within the circuit memo's
+bytes.
 
 Passive and reactive agents with equal configurations and equal circuit
 branches get equal inputs on every step, so they stay in equal states: the
@@ -139,8 +153,8 @@ class Scenario:
     record_shifts: bool | None = None  # None: record unless the fleet or the record is large
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 1 <= self.horizon < 2**63:
+            raise ValueError(f"horizon must be in [1, 2**63), got {self.horizon}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.sensing_delay < 1:
@@ -296,11 +310,16 @@ def run(scenario: Scenario) -> Trace:
     prob_mask = np.array([a.rule is RuleKind.PROBABILISTIC for a in cfgs], dtype=bool)
     cmd_mask = np.array([a.rule is RuleKind.COMMANDED for a in cfgs], dtype=bool)
     senses = reactive_mask | prob_mask
+    has_reactive = bool(reactive_mask.any())
     has_prob = bool(prob_mask.any())
     has_cmd = bool(cmd_mask.any())
     latched = prob_mask & latch_cfg
     plain = prob_mask & ~latch_cfg
     has_latch = bool(latched.any())
+    # a triggered cohort reacts iff its draw is below this: reactive ones
+    # always (draws are below 1), plain probabilistic ones with p, the others
+    # never (latched ones are settled per episode)
+    react_p = np.where(reactive_mask, 2.0, np.where(plain, prob, 0.0))
 
     # agents that do not sense never trigger; when every sensing agent has
     # the same thresholds, the trigger is one int for the whole fleet
@@ -365,15 +384,21 @@ def run(scenario: Scenario) -> Trace:
 
     # free-run blocks (the other fleets): from a free step the connection
     # vectors of the next ``block_len`` steps are computed at once, and
-    # steps use them while they stay free.  ``block_len`` doubles after a
-    # block whose steps were all free and restarts at 1 after a stop; a
-    # block holds at most one window per cohort and no more bytes than the
-    # circuit memo.
+    # steps use them while they stay free or move only plain probabilistic
+    # cohorts, whose columns are rewritten.  A block patches at most as many
+    # cohorts as it has steps, so patching costs a few scalar operations per
+    # step.  ``block_len`` doubles after a block that ran to its end and
+    # restarts at 1 after a stop; a block holds at most one window per
+    # cohort and no more bytes than the circuit memo.
     blocks = not watch
     max_block = min(int(period.min()) - 1, max(1, _CIRCUIT_MEMO_BYTES // k))
     block_len = 1
     rows = None  # the open block's vectors, one row per step from blk_t
     blk_t = blk_end = 0
+    # per-cohort scalars for patches, and the agent whose shifts each records
+    period_of, on_steps_of = period.tolist(), on_steps.tolist()
+    min_shift_of, max_shift_of = min_shift.tolist(), max_shift.tolist()
+    agent_of = np.arange(n)[first].tolist()
 
     t = 0
     while t < horizon:
@@ -403,18 +428,28 @@ def run(scenario: Scenario) -> Trace:
             # agents that react to the trigger; latched ones are settled below
             reacts = reactive_mask
             if has_prob:
-                hit = draws[first] < prob
-                reacts = reacts | (hit & plain)
+                own = draws[first]
+                reacts = own < react_p
+                if has_latch:
+                    hit = own < prob
 
         # a free step moves no shift, issues no instruction and touches no
-        # latch state
-        free = False
+        # latch state; inside an open block, a step that moves only plain
+        # probabilistic cohorts patches their columns instead of closing it
+        free = patch = False
         if blocks:
             if quiet:
                 free = not latch_dirty
             elif commands is None and not has_latch:
-                free = not (reacts & (trigger != 0)).any()
-            if rows is not None and (not free or t == blk_end):
+                movers = (reacts if uniform_thresholds else reacts & (trigger != 0)).nonzero()[0]
+                free = movers.size == 0
+                patch = (
+                    not free and rows is not None and t < blk_end and movers.size <= patches_left
+                    and not (has_reactive and reactive_mask[movers].any())
+                )
+                if patch:
+                    patches_left -= movers.size
+            if rows is not None and (t == blk_end or not (free or patch)):
                 # close the block after its steps [blk_t, t)
                 nxt, run_end = _free_run_state(blk_t, t - blk_t, nxt, run_end, on_steps, period)
                 block_len = min(2 * block_len, max_block) if t == blk_end else 1
@@ -425,6 +460,7 @@ def run(scenario: Scenario) -> Trace:
                     block_len = min(2, max_block)
                 else:
                     blk_t, blk_end = t, min(t + block_len, horizon)
+                    patches_left = blk_end - t
                     rows = _free_run_rows(t, blk_end - t, nxt, run_end, on_steps, period)
                     if has_cmd:
                         rows &= allowed
@@ -440,6 +476,26 @@ def run(scenario: Scenario) -> Trace:
                 latch_side = np.zeros(k, dtype=np.int64)
                 latch_react = np.zeros(k, dtype=bool)
                 latch_dirty = False
+        elif patch:
+            for j in movers.tolist():
+                delta = trigger if uniform_thresholds else int(trigger[j])
+                new_shift = int(shift[j]) + delta
+                if not min_shift_of[j] <= new_shift <= max_shift_of[j]:
+                    continue  # a move of one step that the clip undoes
+                shift[j] = new_shift
+                nj, rj = _move_in_block(
+                    t, delta, int(nxt[j]), int(run_end[j]), on_steps_of[j], period_of[j]
+                )
+                nxt[j], run_end[j] = nj, rj
+                # column j of steps [t, blk_end), as _free_run_rows from t + 1
+                w = nj if rj <= nj else nj + period_of[j]
+                col = rows[t - blk_t :, j]
+                col[:] = False
+                col[: max(rj - t, 0)] = True
+                col[w - t : w - t + on_steps_of[j]] = True
+                if trace_shifts is not None:
+                    trace_shifts[t:blk_end, agent_of[j]] = new_shift
+            keys = rows.tobytes()
         elif not free:
             if has_latch:
                 active = latched & (trigger != 0)
@@ -561,6 +617,31 @@ def _free_run_rows(t, m, nxt, run_end, on_steps, period) -> np.ndarray:
     rows = steps < run_end
     rows |= (w <= steps) & (steps < w + on_steps)
     return rows
+
+
+def _move_in_block(t, delta, nxt, run_end, on_steps, period) -> tuple[int, int]:
+    """(nxt, run_end) after step t of one cycle machine whose window moves
+    by ``delta`` at step t of a free-run block opened at blk_t <= t.
+
+    The input is the machine's state before blk_t, which has nxt >= blk_t,
+    or the state an earlier move in the block returned, which has nxt past
+    that move's step.  So the block's steps [blk_t, t) open at most the
+    window at nxt, as in ``_free_run_state`` with max(nxt, blk_t) = nxt;
+    then the window moves, and step t runs as in ``_cycle_step``, which may
+    open a window one step late after an advance.  The result has
+    nxt >= t + 1, so the block's closed form treats it as a machine that
+    starts at t + 1.
+    """
+    if nxt < t:
+        if run_end <= nxt:
+            run_end = nxt + on_steps
+        nxt += period
+    nxt += delta
+    if nxt <= t:
+        if run_end <= t:
+            run_end = nxt + on_steps
+        nxt += period
+    return nxt, run_end
 
 
 def _free_run_state(t, m, nxt, run_end, on_steps, period) -> tuple[np.ndarray, np.ndarray]:

@@ -175,11 +175,9 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
     v_base = _get(sections["source"], "v_base", float, required=True, section_name="source")
 
     dist_sec = sections.get("disturbance", {})
-    disturbance = Disturbance(
-        t_start=_get(dist_sec, "t_start", int, default=0),
-        t_end=_get(dist_sec, "t_end", int, default=0),
-        delta_v=_get(dist_sec, "delta_v", float, default=0.0),
-    )
+    t_start = _get(dist_sec, "t_start", int, default=0)
+    t_end = _get(dist_sec, "t_end", int, default=0)
+    delta_v = _get(dist_sec, "delta_v", float, default=0.0)
 
     ag = sections["agents"]
     count = _get(ag, "count", int, required=True, section_name="agents")
@@ -209,8 +207,6 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
     sensing_delay = _get(run_sec, "sensing_delay", int, default=1)
     record_shifts = _get(run_sec, "record_shifts", _to_record_shifts, default=None)
 
-    circuit = CircuitConfig.homogeneous(count, r_source, r_base, r_flex)
-
     # band: explicit edges, or a ratio around the calibrated nominal
     band_sec = sections.get("band", {})
     explicit_low = _get(band_sec, "v_low", float, default=None)
@@ -222,6 +218,7 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
         raise ScenarioFileError("give either an explicit band or a ratio, not both")
 
     try:
+        circuit = CircuitConfig.homogeneous(count, r_source, r_base, r_flex)
         proto = tuple(
             AgentConfig(i, period, on_steps, i % period, RuleKind.PASSIVE, 0.0, 1.0)
             for i in range(count)
@@ -259,6 +256,7 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
             raise ScenarioFileError(f"override block for agent {agent_id} outside 0..{count - 1}")
 
     try:
+        disturbance = Disturbance(t_start, t_end, delta_v)
         agent_configs = tuple(build_agent(i) for i in range(count))
         controller = (
             ControllerConfig(

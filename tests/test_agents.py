@@ -30,6 +30,17 @@ LOW = 8.5
 HIGH = 9.7
 
 
+class TestConfigBounds:
+    @pytest.mark.parametrize("field", ["period", "on_steps", "phase", "max_shift"])
+    def test_values_beyond_int64_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: 2**63})
+
+    def test_largest_int64_values_accepted(self):
+        a = cfg(period=2**63 - 1, on_steps=2**63 - 2, phase=2**63 - 2, max_shift=2**63 - 1)
+        assert a.max_shift == 2**63 - 1
+
+
 class TestDesiredLoad:
     def test_inside_window(self):
         assert desired_load(cfg(), AgentState(), 3) is True

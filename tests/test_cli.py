@@ -183,6 +183,35 @@ class TestValidate:
         assert re.fullmatch(r"error: line \d+: unknown key 'perod' in section \[agents\]\n", err)
 
 
+# edits to shipped scenario B that each make it invalid
+INVALID_B_EDITS = [
+    ("r_source = 0.08", "r_source = -0.08"),
+    ("r_flex = 50.0", "r_flex = 0"),
+    ("r_base = 100.0", "r_base = -1"),
+    ("t_start = 1000", "t_start = 1300"),  # after t_end
+    ("max_shift = 1000", "max_shift = 99999999999999999999"),
+    ("period = 100", "period = 99999999999999999999"),
+    ("horizon = 8000", "horizon = 99999999999999999999"),
+]
+
+
+class TestInvalidScenarios:
+    """A scenario that cannot be built exits 1 with one error line, before
+    anything runs."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new", INVALID_B_EDITS)
+    def test_invalid_edit_of_b_exits_1(self, tmp_path, capsys, command, old, new):
+        text = (SCENARIOS / "scenario_b.cfg").read_text()
+        assert old in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(old, new))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestAlgebra:
     def test_eval(self, capsys):
         assert main(["algebra", "eval", "T(1+x)(1+y)"]) == 0

@@ -24,6 +24,7 @@ from reflexgrid.engine import (
     _cycle_step,
     _free_run_rows,
     _free_run_state,
+    _move_in_block,
     calibrate_nominal,
     compute_metrics,
     initial_sensed_voltage,
@@ -422,6 +423,141 @@ class TestFreeRunBlocks:
             assert np.array_equal(after[1], stepped_end)
 
 
+def patched_fleet(period, on_steps, phases, p, seed, horizon, t_start, t_end, delta_v,
+                  sensing_delay, offsets, max_shifts, periods=None, reactive_copies=0):
+    """Probabilistic agents with per-agent thresholds, ``max_shift`` and
+    periods, then ``reactive_copies`` copies of one reactive agent with
+    ``max_shift`` 1, which form a cohort of several members."""
+    n = len(phases)
+    sc = build_scenario(
+        n=n + reactive_copies,
+        period=period,
+        on_steps=on_steps,
+        phases=list(phases) + [0] * reactive_copies,
+        rules=[RuleKind.PROBABILISTIC] * n + [RuleKind.REACTIVE] * reactive_copies,
+        p=p,
+        seed=seed,
+        horizon=horizon,
+        t_start=t_start,
+        t_end=t_end,
+        delta_v=delta_v,
+        sensing_delay=sensing_delay,
+        max_shift=1,
+        record_shifts=True,
+    )
+    periods = periods or [period] * n
+    agents = tuple(
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m, **_with_period(a, q))
+        for a, d, m, q in zip(sc.agents, offsets, max_shifts, periods)
+    ) + sc.agents[n:]
+    return replace(sc, agents=agents)
+
+
+@st.composite
+def patched_fleets(draw):
+    """Fleets whose reacting steps fall inside open free-run blocks: frequent
+    hits, short periods, ``max_shift`` of 0-3 so that moves clip, thresholds
+    that let a trigger reach only some agents, and in some fleets a reactive
+    cohort of several members, whose moves close the block instead."""
+    n = draw(st.integers(1, 8))
+    period = draw(st.integers(3, 12))
+    horizon = draw(st.integers(40, 300))
+    t_start = draw(st.integers(0, horizon))
+    agent_ints = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    return patched_fleet(
+        period=period,
+        on_steps=draw(st.integers(1, period - 1)),
+        phases=draw(agent_ints(0, period - 1)),
+        p=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon=horizon,
+        t_start=t_start,
+        t_end=draw(st.integers(t_start, horizon)),
+        delta_v=draw(st.sampled_from([0.3, -0.3, 0.05])),
+        sensing_delay=draw(st.integers(1, 4)),
+        offsets=draw(st.lists(st.sampled_from([0.0, 0.0, -0.02, 0.02]), min_size=n, max_size=n)),
+        max_shifts=draw(agent_ints(0, 3)),
+        periods=draw(st.lists(st.sampled_from([period, draw(st.integers(3, 12))]), min_size=n, max_size=n)),
+        reactive_copies=draw(st.sampled_from([0, 0, 2, 3])),
+    )
+
+
+class TestPatchedBlocks:
+    """A step that moves only plain probabilistic cohorts inside an open
+    free-run block rewrites their columns of the block instead of closing
+    it; traces and shifts must stay those of the per-agent reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(patched_fleets())
+    @example(patched_fleet(  # an advance leaves a window one step late as a run ends
+        period=4, on_steps=3, phases=[0, 2, 0], p=0.3, seed=0, horizon=40, t_start=4,
+        t_end=4, delta_v=0.3, sensing_delay=2, offsets=[0.0, -0.02, 0.0], max_shifts=[0, 2, 0],
+    ))
+    @example(patched_fleet(  # an advance makes a window open as the run ends
+        period=10, on_steps=7, phases=[0, 0, 0, 0, 0, 3, 7, 0], p=0.3, seed=1, horizon=40,
+        t_start=0, t_end=0, delta_v=0.3, sensing_delay=3, offsets=[0.0] * 8,
+        max_shifts=[0] * 7 + [1], periods=[10] * 7 + [5],
+    ))
+    @example(patched_fleet(  # a clipped move patches nothing
+        period=3, on_steps=1, phases=[0], p=0.3, seed=0, horizon=40, t_start=0,
+        t_end=0, delta_v=0.3, sensing_delay=1, offsets=[-0.02], max_shifts=[0],
+    ))
+    def test_patched_blocks_match_reference(self, sc):
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(free_machines(), st.data())
+    def test_a_move_in_a_block_is_the_one_step_machine(self, machines, data):
+        # a block [t, end) whose machines move by delta at step s: the moved
+        # state, read by the block's closed form from the stale t, must give
+        # the rows and the close of the one-step machine
+        t, nxt, run_end, on_steps, period = machines
+        nxt = np.maximum(nxt, t)  # a machine before a block's first step
+        end = t + int(period.min()) - 1
+        s = data.draw(st.integers(t, end - 1))
+        delta = data.draw(st.sampled_from([-1, 1]))
+        stepped_nxt, stepped_end = nxt.copy(), run_end.copy()
+        for u in range(t, s):
+            _cycle_step(u, stepped_nxt, stepped_end, on_steps, period)
+        stepped_nxt += delta
+        stepped = [_cycle_step(u, stepped_nxt, stepped_end, on_steps, period) for u in range(s, end)]
+        moved = np.array([
+            _move_in_block(s, delta, *map(int, machine))
+            for machine in zip(nxt, run_end, on_steps, period)
+        ]).T
+        assert np.array_equal(moved[1] > s, stepped[0])
+        assert np.array_equal(_free_run_rows(s + 1, end - s - 1, *moved, on_steps, period),
+                              np.array(stepped[1:]).reshape(-1, len(nxt)))
+        closed = _free_run_state(t, end - t, *moved, on_steps, period)
+        assert np.array_equal(closed[0], stepped_nxt)
+        assert np.array_equal(closed[1], stepped_end)
+
+    def test_reacting_steps_keep_blocks_open(self, monkeypatch):
+        import reflexgrid.engine
+
+        closes = []
+
+        def counting(t, m, *args):
+            closes.append(t)
+            return _free_run_state(t, m, *args)
+
+        monkeypatch.setattr(reflexgrid.engine, "_free_run_state", counting)
+        # pairs of passive agents switch on every 5 steps and dip the bus
+        # below the band for one step, so the p = 1 agent reacts on isolated
+        # steps, several per 39-step block
+        n = 17
+        sc = build_scenario(n=n, period=40, on_steps=1, p=1.0,
+                            rules=[RuleKind.PROBABILISTIC] + [RuleKind.PASSIVE] * (n - 1),
+                            phases=[2] + [5 * (i // 2) for i in range(n - 1)], horizon=800,
+                            t_start=0, t_end=0, delta_v=0.0, max_shift=1000, record_shifts=True)
+        trace = run(sc)
+        moved = np.diff(trace.shifts, axis=0, prepend=0).any(axis=1)
+        assert len(closes) < np.count_nonzero(moved)
+
+
 @st.composite
 def cycling_fleets(draw):
     """Deterministic fleets (passive, reactive and commanded agents) over
@@ -599,6 +735,12 @@ class TestScenarioValidation:
     def test_disturbance_must_fit_horizon(self):
         with pytest.raises(ValueError):
             build_scenario(horizon=100, t_start=50, t_end=150)
+
+    def test_horizon_must_fit_int64(self):
+        sc = build_scenario(n=3, horizon=200, t_start=0, t_end=0)
+        with pytest.raises(ValueError, match="horizon"):
+            replace(sc, horizon=2**63)
+        assert replace(sc, horizon=2**63 - 1).horizon == 2**63 - 1  # built, never run
 
     def test_agent_ids_must_be_dense(self):
         sc = build_scenario(n=3, horizon=200)
