@@ -5,12 +5,18 @@ followed by one row per step, with optional ``shift_<i>`` columns when
 shifts were recorded.  Floats render as their shortest round-trip
 representation, so identical runs serialize byte-identically.
 
-The CSV is made in blocks of rows, a column at a time: each column slice
-becomes Python numbers in one call and is formatted by one ``map``, a
-float column formats each distinct bit pattern of the block once, and a
-shift row equal to the row before it reuses that row's text.
-``write_trace_csv`` writes the blocks as they are made, so a long trace
-never exists as one string; ``trace_to_csv`` joins them.
+The CSV is made in blocks of rows.  A block keys each row on the bit
+patterns of its four base values, formats each distinct record once as
+``,v_source,v_load,i_total,n_flex_on`` plus its terminator, and splices
+the step numbers, the record texts and the shift texts into one list that
+one ``join`` turns into the block's text; a shift row equal to the row
+before it reuses that row's text.  The bytes equal formatting each value
+with ``repr(float(x))`` or ``str(int(x))``.  ``write_trace_csv`` writes
+the blocks as they are made, so it holds at most one block's text and a
+long trace never exists as one string; ``trace_to_csv`` joins them.
+
+The SVG chart computes its points as float64 arrays, in the order the
+scalar expressions would, and formats them with one ``%``.
 """
 
 from __future__ import annotations
@@ -33,16 +39,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _float_text(values: np.ndarray) -> Iterator[str]:
-    """``repr`` of each value as a float, formatting each distinct bit
-    pattern once; keyed on bits, so ``-0.0`` and ``0.0`` stay apart."""
-    bits, inverse = np.unique(
-        np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
-    )
-    text = list(map(repr, bits.view(np.float64).tolist()))
-    return map(text.__getitem__, inverse.tolist())
-
-
 def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
     """The header line, then the text of each block of up to ``_BLOCK_ROWS`` rows.
 
@@ -56,22 +52,32 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
             raise ValueError("trace has no recorded shifts")
         header += [f"shift_{i}" for i in range(shifts.shape[1])]
     yield ",".join(header) + "\n"
+    # a row is its step, its record's tail and, with shifts, its shift text
+    width, end = (2, "\n") if shifts is None else (3, ",")
+    floats = [np.asarray(c, dtype=np.float64) for c in (trace.v_source, trace.v_load, trace.i_total)]
+    columns = floats + [trace.n_flex_on]
+    # floats are keyed on bits, so -0.0 and 0.0 stay apart
+    keyed = [c.view(np.uint64) for c in floats] + [trace.n_flex_on]
     for start in range(0, trace.horizon, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, trace.horizon)
-        cols = [
-            map(str, range(start, stop)),
-            _float_text(trace.v_source[start:stop]),
-            _float_text(trace.v_load[start:stop]),
-            _float_text(trace.i_total[start:stop]),
-            map(str, trace.n_flex_on[start:stop].tolist()),
-        ]
+        # one key per record: below _BLOCK_ROWS**4 < 2**63
+        key = np.zeros(stop - start, dtype=np.int64)
+        for column in keyed:
+            values, inverse = np.unique(column[start:stop], return_inverse=True)
+            key = key * len(values) + inverse
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        records = zip(*(c[start:stop][first].tolist() for c in columns))
+        tails = np.array([f",{a!r},{b!r},{c!r},{n}{end}" for a, b, c, n in records], dtype=object)
+        parts = [""] * (width * (stop - start))
+        parts[0::width] = map(str, range(start, stop))
+        parts[1::width] = tails[inverse].tolist()
         if shifts is not None:
             block = shifts[start:stop]
             changed = np.ones(len(block), dtype=bool)
             changed[1:] = (block[1:] != block[:-1]).any(axis=1)
-            distinct = [",".join(map(str, row)) for row in block[changed].tolist()]
-            cols.append(map(distinct.__getitem__, (np.cumsum(changed) - 1).tolist()))
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+            distinct = [",".join(map(str, row)) + "\n" for row in block[changed].tolist()]
+            parts[2::width] = np.array(distinct, dtype=object)[np.cumsum(changed) - 1].tolist()
+        yield "".join(parts)
 
 
 def trace_to_csv(trace: Trace, include_shifts: bool = False) -> str:
@@ -149,8 +155,10 @@ _SVG_W, _SVG_H = 1000, 400
 _MARGIN = 40
 
 
-def _polyline(points: list[tuple[float, float]], color: str, width: str = "1") -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+def _polyline(x: np.ndarray, y: np.ndarray, color: str, width: str = "1") -> str:
+    xy = np.empty(2 * len(x))
+    xy[0::2], xy[1::2] = x, y
+    coords = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy.tolist())
     return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
 
 
@@ -167,10 +175,10 @@ def trace_to_svg(
     pad = 0.05 * (hi - lo) or 1e-6
     lo, hi = lo - pad, hi + pad
 
-    def sx(t: float) -> float:
+    def sx(t):
         return _MARGIN + (t / max(horizon - 1, 1)) * (_SVG_W - 2 * _MARGIN)
 
-    def sy(val: float) -> float:
+    def sy(val):
         return _SVG_H - _MARGIN - ((val - lo) / (hi - lo)) * (_SVG_H - 2 * _MARGIN)
 
     parts = [
@@ -186,12 +194,15 @@ def trace_to_svg(
         )
     # decimate long traces so the file stays small; plotting is a view, not data
     stride = max(1, horizon // (_SVG_W * 4))
-    ts = list(range(0, horizon, stride))
+    ts = np.arange(0, horizon, stride)
     if ts[-1] != horizon - 1:
-        ts.append(horizon - 1)
-    parts.append(_polyline([(sx(t), sy(band.v_low)) for t in (0, horizon - 1)], "#888888"))
-    parts.append(_polyline([(sx(t), sy(band.v_high)) for t in (0, horizon - 1)], "#888888"))
-    parts.append(_polyline([(sx(t), sy(float(v[t]))) for t in ts], "#1f5fa8", "1.5"))
+        ts = np.append(ts, horizon - 1)
+    # float64 arithmetic in sx/sy's order: steps below 2**53 convert exactly,
+    # so each point has the bits the scalar expressions give
+    ends = np.array([0, horizon - 1])
+    parts.append(_polyline(sx(ends), sy(np.full(2, band.v_low)), "#888888"))
+    parts.append(_polyline(sx(ends), sy(np.full(2, band.v_high)), "#888888"))
+    parts.append(_polyline(sx(ts), sy(v[ts]), "#1f5fa8", "1.5"))
     parts.append(
         f'<text x="{_MARGIN}" y="{_MARGIN - 10}" font-family="monospace" font-size="12">'
         f"load voltage, band [{band.v_low:.4f}, {band.v_high:.4f}]</text>"

@@ -70,6 +70,9 @@ _AGENT_OVERRIDE_KEYS = {
     "v_high",
 }
 _REQUIRED_SECTIONS = ("circuit", "source", "agents", "run")
+# the largest fleet a scenario file may declare: building one takes about
+# 1.4 s and 110 MiB on a 2-vCPU VM, and every agent is built before a run
+MAX_AGENTS = 100_000
 
 
 def _parse_sections(text: str) -> tuple[dict, dict]:
@@ -181,8 +184,8 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
 
     ag = sections["agents"]
     count = _get(ag, "count", int, required=True, section_name="agents")
-    if count < 1:
-        raise ScenarioFileError("agent count must be at least 1")
+    if not 1 <= count <= MAX_AGENTS:
+        raise ScenarioFileError(f"agent count must be in [1, {MAX_AGENTS}], got {count}")
     period = _get(ag, "period", int, required=True, section_name="agents")
     on_steps = _get(ag, "on_steps", int, required=True, section_name="agents")
     phase_spread = _get(ag, "phase_spread", str, default="uniform")

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from reflexgrid.circuit import CircuitConfig
 from reflexgrid.cli import main
 from reflexgrid.engine import SHIFT_RECORDING_MAX_ENTRIES
+from reflexgrid.scenariofile import MAX_AGENTS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -119,6 +121,21 @@ class TestRun:
         assert main(["run", str(SCENARIOS / name), "--csv", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    # sha256 of the SVG charts of shipped A and C; the chart has no recorded
+    # shifts, so --record-shifts writes the same bytes
+    @pytest.mark.parametrize(
+        "name,sha256",
+        [
+            ("scenario_a.cfg", "7895e8af90bf7e31df003d48f19010133775fa71840c2d7c707863618cd67928"),
+            ("scenario_c.cfg", "3fe9e2783073f2f2315855599695cd3233cf66d5e3d4f197a5b86e21ee74eb1c"),
+        ],
+    )
+    def test_shipped_scenario_svg_digest(self, tmp_path, name, sha256):
+        for flags in ([], ["--record-shifts"]):
+            out = tmp_path / "chart.svg"
+            assert main(["run", str(SCENARIOS / name), "--svg", str(out), *flags]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_seed_override_changes_probabilistic_trace(self, small_scenario, tmp_path):
         path = small_scenario(rule="probabilistic", extra="p = 0.3\npeer_awareness = full\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -210,6 +227,34 @@ class TestInvalidScenarios:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.fixture
+    def no_circuit(self, monkeypatch):
+        """Make building the circuit an error: a fleet must be bounded before
+        one ``Branch`` per agent is made."""
+
+        def homogeneous(*args, **kwargs):
+            raise AssertionError("CircuitConfig.homogeneous called")
+
+        monkeypatch.setattr(CircuitConfig, "homogeneous", homogeneous)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("count", [10**20, MAX_AGENTS + 1])
+    def test_oversized_fleet_exits_1_before_building(self, tmp_path, capsys, no_circuit,
+                                                     command, count):
+        text = (SCENARIOS / "scenario_b.cfg").read_text()
+        path = tmp_path / "big.cfg"
+        path.write_text(text.replace("count = 100", f"count = {count}"))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: agent count must be in [1, {MAX_AGENTS}], got {count}\n"
+
+    def test_largest_fleet_reaches_the_circuit(self, tmp_path, no_circuit):
+        text = (SCENARIOS / "scenario_b.cfg").read_text()
+        path = tmp_path / "big.cfg"
+        path.write_text(text.replace("count = 100", f"count = {MAX_AGENTS}"))
+        with pytest.raises(AssertionError, match="homogeneous called"):
+            main(["validate", str(path)])
 
 
 class TestAlgebra:

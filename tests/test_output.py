@@ -94,8 +94,9 @@ SHIFT_PATTERNS = ["repeat", "alternate", "block_boundary", "runs", "random"]
 FLOAT_POOLS = st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6)
 
 
-def synthetic_trace(horizon, floats, width, pattern, seed):
-    """A trace whose columns draw from ``floats`` and whose shift rows follow ``pattern``."""
+def synthetic_trace(horizon, floats, width, pattern, seed, n_flex_pool=None):
+    """A trace whose columns draw from ``floats`` and whose shift rows follow ``pattern``;
+    ``n_flex_on`` draws from ``n_flex_pool``, or from +-2**62 when it is None."""
     rng = np.random.default_rng(seed)
     pool = np.array(floats, dtype=float)
 
@@ -123,7 +124,10 @@ def synthetic_trace(horizon, floats, width, pattern, seed):
             if pick is None
             else rows[pick]
         )
-    n_flex = rng.integers(-(2**62), 2**62, horizon)
+    if n_flex_pool is None:
+        n_flex = rng.integers(-(2**62), 2**62, horizon)
+    else:
+        n_flex = np.array(n_flex_pool, dtype=np.int64)[rng.integers(0, len(n_flex_pool), horizon)]
     return Trace(column(), column(), column(), n_flex, shifts)
 
 
@@ -143,6 +147,33 @@ def synthetic_trace(horizon, floats, width, pattern, seed):
 @example(horizon=1, floats=SPECIAL_FLOATS, width=2, pattern="repeat", seed=2)
 def test_block_writer_matches_row_reference(horizon, floats, width, pattern, seed):
     trace = synthetic_trace(horizon, floats, width, pattern, seed)
+    for include_shifts in (False, True) if width else (False,):
+        expected = lines(reference_csv(trace, include_shifts))
+        assert lines(trace_to_csv(trace, include_shifts)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    horizon=st.sampled_from(HORIZONS) | st.integers(1, 40),
+    # small pools for every base column, so whole records repeat
+    floats=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=2),
+    n_flex_pool=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3),
+    width=st.integers(0, 3),
+    pattern=st.sampled_from(SHIFT_PATTERNS),
+    seed=st.integers(0, 2**32 - 1),
+)
+# records that differ only in n_flex_on
+@example(horizon=_BLOCK_ROWS + 1, floats=[2.5], n_flex_pool=[0, 1], width=2,
+         pattern="runs", seed=3)
+@example(horizon=40, floats=[1e16], n_flex_pool=[-(2**63), 2**63 - 1], width=0,
+         pattern="repeat", seed=4)
+# records that differ only in the sign of one zero
+@example(horizon=_BLOCK_ROWS + 1, floats=[0.0, -0.0], n_flex_pool=[7], width=1,
+         pattern="alternate", seed=5)
+def test_block_writer_matches_row_reference_with_repeated_records(
+    horizon, floats, n_flex_pool, width, pattern, seed
+):
+    trace = synthetic_trace(horizon, floats, width, pattern, seed, n_flex_pool)
     for include_shifts in (False, True) if width else (False,):
         expected = lines(reference_csv(trace, include_shifts))
         assert lines(trace_to_csv(trace, include_shifts)) == expected
@@ -208,3 +239,75 @@ def test_svg_without_disturbance_has_no_shading(trace):
     root = ET.fromstring(svg)
     rects = [e for e in root.iter() if e.tag.endswith("rect")]
     assert len(rects) == 1
+
+
+def reference_svg(trace, band, disturbance_window=None):
+    """The point-at-a-time chart: the byte-level specification of the SVG."""
+    W, H, M = 1000, 400, 40
+    horizon = trace.horizon
+    v = trace.v_load
+    lo = min(float(v.min()), band.v_low)
+    hi = max(float(v.max()), band.v_high)
+    pad = 0.05 * (hi - lo) or 1e-6
+    lo, hi = lo - pad, hi + pad
+
+    def sx(t):
+        return M + (t / max(horizon - 1, 1)) * (W - 2 * M)
+
+    def sy(val):
+        return H - M - ((val - lo) / (hi - lo)) * (H - 2 * M)
+
+    def polyline(points, color, width="1"):
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
+        f'<rect x="0" y="0" width="{W}" height="{H}" fill="white"/>',
+    ]
+    if disturbance_window is not None and disturbance_window[1] > disturbance_window[0]:
+        x0, x1 = sx(disturbance_window[0]), sx(disturbance_window[1] - 1)
+        parts.append(
+            f'<rect x="{x0:.2f}" y="{M}" width="{x1 - x0:.2f}" height="{H - 2 * M}" fill="#fde2c8"/>'
+        )
+    stride = max(1, horizon // (W * 4))
+    ts = list(range(0, horizon, stride))
+    if ts[-1] != horizon - 1:
+        ts.append(horizon - 1)
+    parts.append(polyline([(sx(t), sy(band.v_low)) for t in (0, horizon - 1)], "#888888"))
+    parts.append(polyline([(sx(t), sy(band.v_high)) for t in (0, horizon - 1)], "#888888"))
+    parts.append(polyline([(sx(t), sy(float(v[t]))) for t in ts], "#1f5fa8", "1.5"))
+    parts.append(
+        f'<text x="{M}" y="{M - 10}" font-family="monospace" font-size="12">'
+        f"load voltage, band [{band.v_low:.4f}, {band.v_high:.4f}]</text>"
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def svg_windows(horizon):
+    """No window, an empty one, a partial one and the whole run."""
+    return [None, (horizon // 2, horizon // 2), (horizon // 4, horizon // 2 + 1), (0, horizon)]
+
+
+# 4000 points fit undecimated; 8001 decimates onto its last step, 100 000
+# decimates past it and appends it
+@pytest.mark.parametrize("horizon", [1, 2, 3999, 4000, 4001, 8001, 100_000])
+def test_svg_matches_point_reference(horizon):
+    band = Band(8.60, 8.64)
+    trace = synthetic_trace(horizon, [8.58, 8.6, 8.6137, 8.62, 8.64, 8.66], 0, "repeat", horizon)
+    for window in svg_windows(horizon):
+        assert lines(trace_to_svg(trace, band, window)) == lines(reference_svg(trace, band, window))
+
+
+@pytest.mark.parametrize(
+    "level, band",
+    [
+        (8.62, Band(8.60, 8.64)),  # flat inside the band
+        (0.0, Band(0.0, 5e-324)),  # a span whose 5% pad rounds to 0: the 1e-6 pad
+    ],
+)
+def test_svg_of_flat_load_matches_point_reference(level, band):
+    trace = synthetic_trace(500, [level], 0, "repeat", 0)
+    for window in svg_windows(500):
+        assert lines(trace_to_svg(trace, band, window)) == lines(reference_svg(trace, band, window))
