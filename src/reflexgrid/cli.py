@@ -93,6 +93,13 @@ def _load_checked(args):
     except FileNotFoundError:
         print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
         return None, EXIT_PARSE
+    except OSError as exc:  # a directory, or a file that may not be read
+        print(f"error: cannot read scenario file {args.scenario}: {exc.strerror}", file=sys.stderr)
+        return None, EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"error: scenario file {args.scenario} is not UTF-8: {exc.reason} at byte {exc.start}",
+              file=sys.stderr)
+        return None, EXIT_PARSE
     except ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
@@ -192,7 +199,10 @@ def _cmd_metrics(args) -> int:
     except FileNotFoundError:
         print(f"error: trace file not found: {args.csv}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except OSError as exc:  # a directory, or a file that may not be read
+        print(f"error: cannot read trace file {args.csv}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:  # a malformed trace, or one that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(metrics_summary(metrics, band, window))

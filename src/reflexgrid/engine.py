@@ -76,18 +76,23 @@ machine, and away from the ``max_shift`` clip it does not depend on
 absolute time or on absolute shifts: windows and runs only matter
 relative to t.  Between source-voltage changes the engine therefore
 watches for the state after a step, so reduced, to equal the state after
-an earlier step t1 (Brent's power-of-two checkpoint, one saved key, full
-comparison only when the step's voltage equals the checkpoint's).  When
-the state after t2 = t1 + P repeats it, every later step repeats the
-period (t1, t2] with each cohort's shifts moved on by its drift over the
-period, so the engine copies that period forward, whole periods up to the
-next source-voltage change and to the horizon (where a partial last period
-is copied too), and never so far that a drifting cohort's shifts would
-reach the clip.  The copied floats are the ones the same steps would
-compute from the same inputs, so the trace is bit-identical; the
-simulation then resumes from the state advanced by the copied steps.  A
-controller fleet is never copied, so the planner runs on every control
-step.
+an earlier step t1.  The candidates for t1 are every power-of-two
+checkpoint since the last restart, not only Brent's latest one, so a
+cycle that starts at mu is found P steps after the first checkpoint taken
+inside it, near mu + P (as with Nivasch's stack of earlier values); the
+full comparison runs only when the step's voltage equals a checkpoint's.
+The checkpoints hold at most the circuit memo's byte budget, the oldest
+dropped first, so a fleet whose keys do not fit keeps only the latest, as
+Brent does.  When the state after t2 = t1 + P repeats it, every later step
+repeats the period (t1, t2] with each cohort's shifts moved on by its
+drift over the period, so the engine copies that period forward, whole
+periods up to the next source-voltage change and to the horizon (where a
+partial last period is copied too), and never so far that a drifting
+cohort's shifts would reach the clip.  The copied floats are the ones the
+same steps would compute from the same inputs, so the trace is
+bit-identical; the simulation then resumes from the state advanced by the
+copied steps.  A controller fleet is never copied, so the planner runs on
+every control step.
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ SHIFT_RECORDING_MAX_AGENTS = 1000
 # any shift record holds at most this many int32 entries (256 MiB)
 SHIFT_RECORDING_MAX_ENTRIES = 2**26
 # bytes one run's circuit memo may hold, counting each entry as its k-byte
-# key plus about 256 bytes of dict slot, bytes, tuple and float objects
+# key plus about 256 bytes of dict slot, bytes, tuple and float objects;
+# the limit-cycle watch's checkpoints hold at most as many again
 _CIRCUIT_MEMO_BYTES = 2**22
 
 
@@ -373,12 +379,18 @@ def run(scenario: Scenario) -> Trace:
     memo_entries = max(1, _CIRCUIT_MEMO_BYTES // (k + 256))
 
     # limit-cycle watch (fleets without draws or a controller): the state
-    # key after step t is checkpointed at Brent's powers of two, and a step
-    # whose voltage equals the checkpoint's compares keys; lo/hi are each
-    # cohort's unclipped shift extremes since the checkpoint
+    # key after step t is checkpointed at powers of two since the last
+    # restart, every checkpoint is kept as [t, v, key, shift, lo, hi] and
+    # indexed by its voltage, and a step whose voltage equals a checkpoint's
+    # compares keys.  A checkpoint's lo/hi are each cohort's unclipped shift
+    # extremes from it to the latest checkpoint, and the live lo/hi go on
+    # from there.  The checkpoints hold at most _CIRCUIT_MEMO_BYTES, the
+    # oldest dropped first and the latest always kept.
     watch = not has_prob and ctrl is None
     changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
-    ck_t, ck_v, ck_key, ck_shift, power = -1, np.nan, b"", shift, 0
+    checkpoints: list[list] = []  # oldest first
+    by_v: dict[float, list[list]] = {}  # each list oldest first
+    ck_t, power = -1, 0  # the latest checkpoint's step and power
     lo = hi = shift
     cycle = None
 
@@ -550,8 +562,14 @@ def run(scenario: Scenario) -> Trace:
         trace_n[t] = n_on
 
         if watch and t >= delay - 1:
-            if v == ck_v and _state_key(t, nxt, run_end, trace_v, delay) == ck_key:
-                p_len = t - ck_t
+            match = by_v.get(v)
+            if match is not None:
+                state = _state_key(t, nxt, run_end, trace_v, delay)
+                match = next((ck for ck in match if ck[2] == state), None)
+            if match is not None:
+                t1, _, _, ck_shift, ck_lo, ck_hi = match
+                lo, hi = np.minimum(ck_lo, lo), np.maximum(ck_hi, hi)
+                p_len = t - t1
                 drift = shift - ck_shift
                 # steps to copy: up to the next source-voltage change, or to
                 # the horizon with a partial last period, and only whole
@@ -568,18 +586,32 @@ def run(scenario: Scenario) -> Trace:
                     copies = min(copies, int((room[moving] // np.abs(drift[moving])).min()))
                 steps = min(steps, copies * p_len)
                 if steps > 0:
-                    _copy_periods(trace_v, trace_i, trace_n, trace_shifts, ck_t, t, steps, drift[cohort])
+                    _copy_periods(trace_v, trace_i, trace_n, trace_shifts, t1, t, steps, drift[cohort])
                     nxt = nxt + steps
                     run_end = run_end + steps
                     shift = shift + steps // p_len * drift
                     t += steps
-                    cycle = (ck_t, p_len)
+                    cycle = (t1, p_len)
                 power = 0  # restart
             restart = power == 0 or t + 1 in changes
             if restart or t - ck_t == power:
                 power = 1 if restart else 2 * power
-                ck_t, ck_v, ck_shift = t, float(trace_v[t]), shift
-                ck_key = _state_key(t, nxt, run_end, trace_v, delay)
+                if restart:
+                    checkpoints.clear()
+                    by_v.clear()
+                for ck in checkpoints:
+                    ck[4], ck[5] = np.minimum(ck[4], lo), np.maximum(ck[5], hi)
+                ck_t, ck_v = t, float(trace_v[t])
+                ck = [t, ck_v, _state_key(t, nxt, run_end, trace_v, delay), shift, shift, shift]
+                checkpoints.append(ck)
+                by_v.setdefault(ck_v, []).append(ck)
+                ck_bytes = len(ck[2]) + 3 * shift.nbytes
+                while len(checkpoints) * ck_bytes > _CIRCUIT_MEMO_BYTES and len(checkpoints) > 1:
+                    old = checkpoints.pop(0)
+                    same = by_v[old[1]]
+                    same.pop(0)  # the oldest checkpoint of its voltage
+                    if not same:
+                        del by_v[old[1]]
                 lo = hi = shift
         t += 1
 

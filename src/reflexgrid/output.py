@@ -162,6 +162,19 @@ def _polyline(x: np.ndarray, y: np.ndarray, color: str, width: str = "1") -> str
     return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
 
 
+def _chart_points(steps: np.ndarray, volts: np.ndarray, horizon: int, lo: float, hi: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart coordinates of (step, voltage) points as float64 arrays.
+
+    The y axis spans [lo, hi].  The arithmetic is the scalar expressions'
+    in their order, and steps below 2**53 convert exactly, so each point
+    has the bits those expressions give.
+    """
+    x = _MARGIN + (steps / max(horizon - 1, 1)) * (_SVG_W - 2 * _MARGIN)
+    y = _SVG_H - _MARGIN - ((volts - lo) / (hi - lo)) * (_SVG_H - 2 * _MARGIN)
+    return x, y
+
+
 def trace_to_svg(
     trace: Trace,
     band: Band,
@@ -175,11 +188,8 @@ def trace_to_svg(
     pad = 0.05 * (hi - lo) or 1e-6
     lo, hi = lo - pad, hi + pad
 
-    def sx(t):
-        return _MARGIN + (t / max(horizon - 1, 1)) * (_SVG_W - 2 * _MARGIN)
-
-    def sy(val):
-        return _SVG_H - _MARGIN - ((val - lo) / (hi - lo)) * (_SVG_H - 2 * _MARGIN)
+    def points(steps, volts):
+        return _chart_points(np.asarray(steps), np.asarray(volts), horizon, lo, hi)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
@@ -187,7 +197,7 @@ def trace_to_svg(
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
     if disturbance_window is not None and disturbance_window[1] > disturbance_window[0]:
-        x0, x1 = sx(disturbance_window[0]), sx(disturbance_window[1] - 1)
+        x0, x1 = points([disturbance_window[0], disturbance_window[1] - 1], [lo, lo])[0].tolist()
         parts.append(
             f'<rect x="{x0:.2f}" y="{_MARGIN}" width="{x1 - x0:.2f}" '
             f'height="{_SVG_H - 2 * _MARGIN}" fill="#fde2c8"/>'
@@ -197,12 +207,10 @@ def trace_to_svg(
     ts = np.arange(0, horizon, stride)
     if ts[-1] != horizon - 1:
         ts = np.append(ts, horizon - 1)
-    # float64 arithmetic in sx/sy's order: steps below 2**53 convert exactly,
-    # so each point has the bits the scalar expressions give
-    ends = np.array([0, horizon - 1])
-    parts.append(_polyline(sx(ends), sy(np.full(2, band.v_low)), "#888888"))
-    parts.append(_polyline(sx(ends), sy(np.full(2, band.v_high)), "#888888"))
-    parts.append(_polyline(sx(ts), sy(v[ts]), "#1f5fa8", "1.5"))
+    ends = [0, horizon - 1]
+    parts.append(_polyline(*points(ends, [band.v_low] * 2), "#888888"))
+    parts.append(_polyline(*points(ends, [band.v_high] * 2), "#888888"))
+    parts.append(_polyline(*points(ts, v[ts]), "#1f5fa8", "1.5"))
     parts.append(
         f'<text x="{_MARGIN}" y="{_MARGIN - 10}" font-family="monospace" font-size="12">'
         f"load voltage, band [{band.v_low:.4f}, {band.v_high:.4f}]</text>"

@@ -200,6 +200,38 @@ class TestValidate:
         assert re.fullmatch(r"error: line \d+: unknown key 'perod' in section \[agents\]\n", err)
 
 
+class TestUnreadableFiles:
+    """A path that names a directory, or a file that is not UTF-8, exits 1
+    with one error line instead of a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_scenario_directory_exits_1(self, capsys, command):
+        assert main([command, str(SCENARIOS)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read scenario file {SCENARIOS}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_utf8_scenario_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes((SCENARIOS / "scenario_a.cfg").read_bytes() + "# caf\xe9\n".encode("latin-1"))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {path} is not UTF-8: ")
+        assert err.count("\n") == 1
+
+    def test_trace_directory_exits_1(self, capsys):
+        assert main(["metrics", str(SCENARIOS), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read trace file {SCENARIOS}: Is a directory\n"
+
+    def test_non_utf8_trace_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,v_source,v_load,i_total,n_flex_on\n0,\xe9,1,1,1\n")
+        assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # edits to shipped scenario B that each make it invalid
 INVALID_B_EDITS = [
     ("r_source = 0.08", "r_source = -0.08"),

@@ -598,6 +598,36 @@ def cycling_fleets(draw):
     return replace(sc, agents=agents)
 
 
+def herd_fleet() -> Scenario:
+    """Acceptance 9's fleet: scenario A scaled to 1000 agents (100 cohorts)
+    over 100 000 steps, shift recording off."""
+    n = 1000
+    circuit = CircuitConfig.homogeneous(n, 0.08, 1000.0, 500.0)
+    proto = [AgentConfig(i, 100, 50, i % 100, RuleKind.PASSIVE, 0.0, 1.0) for i in range(n)]
+    _, band = calibrate_nominal(circuit, proto, 10.0)
+    agents = tuple(
+        AgentConfig(i, 100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high, max_shift=1000)
+        for i in range(n)
+    )
+    return Scenario(circuit, 10.0, Disturbance(1000, 1200, 0.3), agents, band, 100_000, 1,
+                    sensing_delay=3, record_shifts=False)
+
+
+def simulated_steps(monkeypatch) -> list[int]:
+    """The step of every later ``_cycle_step`` call: the steps the one-step
+    machine simulates instead of copying."""
+    import reflexgrid.engine
+
+    steps = []
+
+    def counting(t, *args):
+        steps.append(t)
+        return _cycle_step(t, *args)
+
+    monkeypatch.setattr(reflexgrid.engine, "_cycle_step", counting)
+    return steps
+
+
 class TestLimitCycles:
     """A deterministic fleet without a controller whose state repeats is
     copied forward a period at a time; the traces must stay those of the
@@ -608,6 +638,11 @@ class TestLimitCycles:
     @example(build_scenario(  # the copies stop short of the clip and the loop resumes
         n=1, period=5, on_steps=2, phases=[3], horizon=156, t_start=50, t_end=62,
         max_shift=2, sensing_delay=1, record_shifts=True,
+    ))
+    @example(build_scenario(  # matches the checkpoint at 91, not the latest at 99, with the
+        # cohorts drifting by -2 and 7 steps of room: 3 copies stop short of the clip
+        n=5, period=6, on_steps=2, phases=[5, 0, 0, 0, 0], horizon=146, t_start=82, t_end=85,
+        max_shift=21, sensing_delay=4, record_shifts=True,
     ))
     def test_copied_periods_match_reference(self, sc):
         engine_trace = run(sc)
@@ -622,6 +657,33 @@ class TestLimitCycles:
     def test_shipped_scenarios(self, name, period):
         trace = run(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario)
         assert (trace.cycle and trace.cycle[1]) == period
+
+    def test_shipped_a_is_found_one_period_after_its_first_checkpoint_in_the_cycle(self):
+        # the herd's cycle starts at 1357; checkpoints since the restart at
+        # the sag's end (1199) fall at 1199 + 2**j - 1, and 1454 is the
+        # first one inside the cycle (Brent's single checkpoint waits for 3246)
+        trace = run(load_scenario(SCENARIOS / "scenario_a.cfg").scenario)
+        assert trace.cycle == (1454, 1090)
+
+    def test_herd_simulates_until_one_period_past_the_checkpoint(self, monkeypatch):
+        # a structural guard on acceptance 9: the repeat at 2544 ends the
+        # simulation, and keeping only the latest checkpoint took 3637 steps
+        steps = simulated_steps(monkeypatch)
+        trace = run(herd_fleet())
+        assert trace.cycle == (1454, 1090)
+        assert len(steps) == 1745
+        assert max(steps) == 1454 + 1090
+
+    def test_one_checkpoint_budget_is_brents_detection(self, monkeypatch):
+        import reflexgrid.engine
+
+        every = run(herd_fleet())
+        monkeypatch.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+        steps = simulated_steps(monkeypatch)
+        latest = run(herd_fleet())
+        assert latest.cycle == (3246, 1090)
+        assert len(steps) == 3637
+        assert traces_equal(latest, every)
 
     def test_no_cycle_without_a_repeat(self):
         # a horizon as long as the duty period: no state has repeated yet

@@ -14,6 +14,7 @@ from reflexgrid.engine import compute_metrics, run
 from reflexgrid.engine import Trace
 from reflexgrid.output import (
     _BLOCK_ROWS,
+    _chart_points,
     metrics_summary,
     read_trace_csv,
     trace_to_csv,
@@ -241,11 +242,11 @@ def test_svg_without_disturbance_has_no_shading(trace):
     assert len(rects) == 1
 
 
-def reference_svg(trace, band, disturbance_window=None):
-    """The point-at-a-time chart: the byte-level specification of the SVG."""
-    W, H, M = 1000, 400, 40
-    horizon = trace.horizon
-    v = trace.v_load
+W, H, M = 1000, 400, 40
+
+
+def reference_scale(horizon, v, band):
+    """The chart's y range and its scalar point expressions ``sx``/``sy``."""
     lo = min(float(v.min()), band.v_low)
     hi = max(float(v.max()), band.v_high)
     pad = 0.05 * (hi - lo) or 1e-6
@@ -256,6 +257,15 @@ def reference_svg(trace, band, disturbance_window=None):
 
     def sy(val):
         return H - M - ((val - lo) / (hi - lo)) * (H - 2 * M)
+
+    return lo, hi, sx, sy
+
+
+def reference_svg(trace, band, disturbance_window=None):
+    """The point-at-a-time chart: the byte-level specification of the SVG."""
+    horizon = trace.horizon
+    v = trace.v_load
+    _, _, sx, sy = reference_scale(horizon, v, band)
 
     def polyline(points, color, width="1"):
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
@@ -311,3 +321,32 @@ def test_svg_of_flat_load_matches_point_reference(level, band):
     trace = synthetic_trace(500, [level], 0, "repeat", 0)
     for window in svg_windows(500):
         assert lines(trace_to_svg(trace, band, window)) == lines(reference_svg(trace, band, window))
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@st.composite
+def chart_points(draw):
+    """Steps of a horizon up to 2**53, voltages and the band they are charted with."""
+    horizon = draw(st.integers(1, 2**53))
+    volts = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40))
+    steps = draw(st.lists(st.integers(0, horizon - 1), min_size=len(volts), max_size=len(volts)))
+    edges = draw(st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2, unique=True))
+    return horizon, steps, volts, Band(*sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart_points())
+@example((100_000, [0, 1, 24, 50_000, 99_998, 99_999], [8.58, 8.609, 8.6137, 8.622, 8.642, 8.66],
+          Band(8.60, 8.64)))  # three of these y differ by an ulp if divided via a reciprocal
+def test_chart_points_are_the_scalar_expressions(points):
+    # bit for bit, not through the %.2f text, which hides a 1-ulp change
+    horizon, steps, volts, band = points
+    v = np.array(volts)
+    lo, hi, sx, sy = reference_scale(horizon, v, band)
+    x, y = _chart_points(np.array(steps), v, horizon, lo, hi)
+    assert x.dtype == y.dtype == np.float64
+    assert float_bits(x) == float_bits([sx(t) for t in steps])
+    assert float_bits(y) == float_bits([sy(val) for val in volts])
