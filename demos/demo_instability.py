@@ -18,7 +18,9 @@ from reflexgrid import RuleKind, compute_metrics, load_scenario, run
 from reflexgrid.output import write_trace_svg
 
 HERE = Path(__file__).parent
-scenario = load_scenario(HERE.parent / "scenarios" / "scenario_a.cfg").scenario
+scenario = replace(
+    load_scenario(HERE.parent / "scenarios" / "scenario_a.cfg").scenario, record_shifts=True
+)
 window = (scenario.disturbance.t_end, scenario.horizon)
 
 print(f"fleet: {scenario.n_agents} reactive appliances, horizon {scenario.horizon} steps")

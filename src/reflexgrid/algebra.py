@@ -379,6 +379,3 @@ def parse(text: str) -> Polynomial:
     ``parse(str(p)) == p`` for every polynomial ``p``.
     """
     return _Parser(text).parse()
-
-
-parse_expression = parse

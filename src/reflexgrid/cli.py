@@ -128,29 +128,23 @@ def _cmd_run(args) -> int:
     if bundle is None:
         return code
 
-    scenario = bundle.scenario
+    overrides = {}
     if args.seed is not None:
-        try:
-            scenario = replace(scenario, seed=args.seed)
-        except ValueError as exc:  # seed outside [0, 2**64)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    # the flag or the file's ``record_shifts = true`` adds shift columns; the
-    # default (auto) may record shifts but never widens the CSV
-    include_shifts = args.record_shifts or scenario.record_shifts is True
-    if include_shifts:
-        try:
-            scenario = replace(scenario, record_shifts=True)
-        except ValueError as exc:  # shift record over SHIFT_RECORDING_MAX_ENTRIES
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        overrides["seed"] = args.seed
+    if args.record_shifts:
+        overrides["record_shifts"] = True
+    try:
+        scenario = replace(bundle.scenario, **overrides)
+    except ValueError as exc:  # seed outside [0, 2**64), or over SHIFT_RECORDING_MAX_ENTRIES
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     try:
         trace = run_engine(scenario)
         window = _metrics_window(scenario)
         metrics = compute_metrics(trace, scenario.band, window)
         if args.csv:
-            write_trace_csv(trace, args.csv, include_shifts=include_shifts)
+            write_trace_csv(trace, args.csv, include_shifts=scenario.record_shifts)
         if args.svg:
             d = scenario.disturbance
             shade = (d.t_start, d.t_end) if d.t_end > d.t_start else None

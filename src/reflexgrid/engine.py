@@ -99,7 +99,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -107,8 +106,6 @@ from numpy.random import Generator, Philox
 from .agents import AgentConfig, Band, RuleKind, controller_plan
 from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
 
-# automatic shift recording needs a fleet of at most this many agents
-SHIFT_RECORDING_MAX_AGENTS = 1000
 # any shift record holds at most this many int32 entries (256 MiB)
 SHIFT_RECORDING_MAX_ENTRIES = 2**26
 # bytes one run's circuit memo may hold, counting each entry as its k-byte
@@ -156,7 +153,7 @@ class Scenario:
     seed: int
     controller: ControllerConfig | None = None
     sensing_delay: int = 1
-    record_shifts: bool | None = None  # None: record unless the fleet or the record is large
+    record_shifts: bool = False  # keep the (horizon, N) shift matrix in the trace
 
     def __post_init__(self):
         if not 1 <= self.horizon < 2**63:
@@ -189,15 +186,6 @@ class Scenario:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
-
-    @property
-    def shifts_recorded(self) -> bool:
-        if self.record_shifts is None:
-            return (
-                self.n_agents <= SHIFT_RECORDING_MAX_AGENTS
-                and self.horizon * self.n_agents <= SHIFT_RECORDING_MAX_ENTRIES
-            )
-        return self.record_shifts
 
 
 @dataclass(frozen=True)
@@ -365,9 +353,7 @@ def run(scenario: Scenario) -> Trace:
     trace_v = np.empty(horizon)
     trace_i = np.empty(horizon)
     trace_n = np.empty(horizon, dtype=np.int64)
-    trace_shifts = (
-        np.empty((horizon, n), dtype=np.int32) if scenario.shifts_recorded else None
-    )
+    trace_shifts = np.empty((horizon, n), dtype=np.int32) if scenario.record_shifts else None
 
     v_init = initial_sensed_voltage(scenario)
     delay = scenario.sensing_delay
@@ -744,11 +730,12 @@ def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metric
 
 def calibrate_nominal(
     circuit: CircuitConfig,
-    agent_configs: Sequence[AgentConfig],
+    period: int,
+    on_steps: int,
     v_source_base: float,
     band_ratio: float = 0.002,
 ) -> tuple[float, Band]:
-    """Nominal bus voltage and band for a homogeneous fleet.
+    """Nominal bus voltage and band for a homogeneous fleet on one duty cycle.
 
     Nominal is the voltage with the duty-cycle-expected number of flexible
     loads connected; the band is nominal times (1 +/- band_ratio), the
@@ -756,12 +743,9 @@ def calibrate_nominal(
     """
     if not circuit.is_homogeneous:
         raise ValueError("calibration requires identical branches")
-    duties = {(a.period, a.on_steps) for a in agent_configs}
-    if len(duties) != 1:
-        raise ValueError("calibration requires agents with identical duty cycles")
-    period, on_steps = duties.pop()
-    n = len(agent_configs)
-    expected_on = round(n * on_steps / period)
+    if not 1 <= on_steps < period:
+        raise ValueError(f"need 1 <= on_steps < period, got on_steps {on_steps}, period {period}")
+    expected_on = round(circuit.n_branches * on_steps / period)
     v_nominal = v_load_for_count(circuit, v_source_base, expected_on)
     band = Band(v_nominal * (1.0 - band_ratio), v_nominal * (1.0 + band_ratio))
     return v_nominal, band

@@ -124,7 +124,7 @@ def read_trace_csv(path: str | Path) -> Trace:
             raise ValueError(f"row {t + 1}: expected {width} fields, got {len(row)}")
         try:
             if int(row[0]) != t:
-                raise ValueError(f"row {t + 1}: step index {row[0]} out of order")
+                raise ValueError(f"step index {row[0]} out of order")
             v_source[t] = float(row[1])
             v_load[t] = float(row[2])
             i_total[t] = float(row[3])

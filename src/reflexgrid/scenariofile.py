@@ -158,12 +158,6 @@ def _to_peer_awareness(value: str) -> bool:
     raise ValueError(f"peer_awareness must be 'none' or 'full', got {value!r}")
 
 
-def _to_record_shifts(value: str) -> bool | None:
-    if value.lower() == "auto":
-        return None
-    return _to_bool(value)
-
-
 def parse_scenario_text(text: str) -> ScenarioBundle:
     sections, agent_blocks = _parse_sections(text)
     for name in _REQUIRED_SECTIONS:
@@ -208,7 +202,7 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
     horizon = _get(run_sec, "horizon", int, required=True, section_name="run")
     seed = _get(run_sec, "seed", int, required=True, section_name="run")
     sensing_delay = _get(run_sec, "sensing_delay", int, default=1)
-    record_shifts = _get(run_sec, "record_shifts", _to_record_shifts, default=None)
+    record_shifts = _get(run_sec, "record_shifts", _to_bool, default=False)
 
     # band: explicit edges, or a ratio around the calibrated nominal
     band_sec = sections.get("band", {})
@@ -222,12 +216,8 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
 
     try:
         circuit = CircuitConfig.homogeneous(count, r_source, r_base, r_flex)
-        proto = tuple(
-            AgentConfig(i, period, on_steps, i % period, RuleKind.PASSIVE, 0.0, 1.0)
-            for i in range(count)
-        )
         v_nominal, calibrated = calibrate_nominal(
-            circuit, proto, v_base, band_ratio=ratio if ratio is not None else 0.002
+            circuit, period, on_steps, v_base, band_ratio=ratio if ratio is not None else 0.002
         )
         band = Band(explicit_low, explicit_high) if explicit_low is not None else calibrated
     except ValueError as exc:

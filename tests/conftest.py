@@ -49,15 +49,11 @@ def build_scenario(
     phases=None,
     rules=None,
     p_latch=False,
-    record_shifts=None,
+    record_shifts=True,
 ):
     """Small scenario in the same regime as the reference files."""
     circuit = CircuitConfig.homogeneous(n, r_source, r_base, r_flex)
-    proto = tuple(
-        AgentConfig(i, period, on_steps, i % period, RuleKind.PASSIVE, 0.0, 1.0)
-        for i in range(n)
-    )
-    v_nominal, band = calibrate_nominal(circuit, proto, v_base, ratio)
+    v_nominal, band = calibrate_nominal(circuit, period, on_steps, v_base, ratio)
     if phases is None:
         phases = [i % period for i in range(n)]
     if rules is None:

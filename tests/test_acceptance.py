@@ -134,8 +134,7 @@ def test_acceptance_3_circuit_oracle():
 
 def test_acceptance_4_instability_reproduction():
     start = time.monotonic()
-    bundle = load_scenario(SCENARIOS / "scenario_a.cfg")
-    scenario = bundle.scenario
+    scenario = replace(load_scenario(SCENARIOS / "scenario_a.cfg").scenario, record_shifts=True)
     window = (scenario.disturbance.t_end + scenario.sensing_delay, scenario.horizon)
 
     passive = compute_metrics(run(_passive_variant(scenario)), scenario.band, window)
@@ -251,8 +250,7 @@ def test_acceptance_9_performance_floor():
     # so the fleet presents the same total load), shift recording off
     n, horizon = 1000, 100_000
     circuit = CircuitConfig.homogeneous(n, 0.08, 1000.0, 500.0)
-    proto = [AgentConfig(i, 100, 50, i % 100, RuleKind.PASSIVE, 0.0, 1.0) for i in range(n)]
-    v_nominal, band = calibrate_nominal(circuit, proto, 10.0)
+    v_nominal, band = calibrate_nominal(circuit, 100, 50, 10.0)
     agents = tuple(
         AgentConfig(i, 100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high,
                     max_shift=1000)

@@ -155,17 +155,21 @@ class TestRun:
         assert main(["run", small_scenario(), "--csv", str(out), "--record-shifts"]) == 0
         assert "shift_9" in out.read_text().splitlines()[0]
 
-    def test_record_shifts_from_file_adds_columns(self, tmp_path):
-        header = {}
-        for setting in ("true", "auto", "false"):
+    def test_record_shifts_from_file_adds_columns(self, tmp_path, capsys):
+        code, header = {}, {}
+        for setting in ("true", "false", "auto"):
             path = tmp_path / f"{setting}.cfg"
             path.write_text(SMALL.format(rule="reactive", extra="") + f"record_shifts = {setting}\n")
             out = tmp_path / f"{setting}.csv"
-            assert main(["run", str(path), "--csv", str(out)]) == 0
-            header[setting] = out.read_text().splitlines()[0]
+            code[setting] = main(["run", str(path), "--csv", str(out)])
+            if out.exists():
+                header[setting] = out.read_text().splitlines()[0]
+        # the key takes a boolean only
+        assert code == {"true": 0, "false": 0, "auto": 1}
+        assert "not a boolean: 'auto'" in capsys.readouterr().err
         assert header["true"].endswith(",shift_9")
-        # auto records the small fleet's shifts but keeps the CSV narrow
-        assert header["auto"] == header["false"] == "t,v_source,v_load,i_total,n_flex_on"
+        assert header["false"] == "t,v_source,v_load,i_total,n_flex_on"
+        assert "auto" not in header
 
     @pytest.mark.parametrize("how", ["flag", "file"])
     def test_shift_record_over_the_cap_exits_1(self, tmp_path, capsys, how):
@@ -240,6 +244,9 @@ INVALID_B_EDITS = [
     ("t_start = 1000", "t_start = 1300"),  # after t_end
     ("max_shift = 1000", "max_shift = 99999999999999999999"),
     ("period = 100", "period = 99999999999999999999"),
+    ("period = 100", "period = 0"),
+    ("on_steps = 50", "on_steps = 0"),
+    ("on_steps = 50", "on_steps = 100"),
     ("horizon = 8000", "horizon = 99999999999999999999"),
 ]
 

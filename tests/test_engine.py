@@ -14,7 +14,6 @@ from conftest import build_scenario, run_reference
 from reflexgrid.agents import AgentConfig, Band, RuleKind, controller_plan
 from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 from reflexgrid.engine import (
-    SHIFT_RECORDING_MAX_AGENTS,
     SHIFT_RECORDING_MAX_ENTRIES,
     Disturbance,
     Metrics,
@@ -603,8 +602,7 @@ def herd_fleet() -> Scenario:
     over 100 000 steps, shift recording off."""
     n = 1000
     circuit = CircuitConfig.homogeneous(n, 0.08, 1000.0, 500.0)
-    proto = [AgentConfig(i, 100, 50, i % 100, RuleKind.PASSIVE, 0.0, 1.0) for i in range(n)]
-    _, band = calibrate_nominal(circuit, proto, 10.0)
+    _, band = calibrate_nominal(circuit, 100, 50, 10.0)
     agents = tuple(
         AgentConfig(i, 100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high, max_shift=1000)
         for i in range(n)
@@ -774,23 +772,20 @@ class TestTraceConsistency:
         calm = dict(horizon=50, t_start=0, t_end=0, delta_v=0.0)
         assert run(build_scenario(record_shifts=False, **calm)).shifts is None
         assert run(build_scenario(record_shifts=True, **calm)).shifts is not None
-        assert run(build_scenario(**calm)).shifts is not None  # small fleet default
+        sc = build_scenario(**calm)
+        default = Scenario(sc.circuit, sc.v_source_base, sc.disturbance, sc.agents, sc.band,
+                           sc.horizon, sc.seed)
+        assert default.record_shifts is False
+        assert run(default).shifts is None
 
     def test_shift_record_over_the_entry_cap_is_rejected(self):
         n = 1024
         steps = SHIFT_RECORDING_MAX_ENTRIES // n
         calm = dict(n=n, period=4, on_steps=2, t_start=0, t_end=0, delta_v=0.0)
-        assert build_scenario(horizon=steps, record_shifts=True, **calm).shifts_recorded
+        assert build_scenario(horizon=steps, record_shifts=True, **calm).record_shifts
         with pytest.raises(ValueError, match="entries"):
             build_scenario(horizon=steps + 1, record_shifts=True, **calm)
-        assert not build_scenario(horizon=steps + 1, record_shifts=False, **calm).shifts_recorded
-
-    def test_automatic_recording_stays_within_both_caps(self):
-        n = SHIFT_RECORDING_MAX_AGENTS
-        steps = SHIFT_RECORDING_MAX_ENTRIES // n
-        calm = dict(n=n, period=4, on_steps=2, t_start=0, t_end=0, delta_v=0.0)
-        assert build_scenario(horizon=steps, **calm).shifts_recorded
-        assert not build_scenario(horizon=steps + 1, **calm).shifts_recorded
+        assert not build_scenario(horizon=steps + 1, record_shifts=False, **calm).record_shifts
 
 
 class TestScenarioValidation:
@@ -799,7 +794,7 @@ class TestScenarioValidation:
             build_scenario(horizon=100, t_start=50, t_end=150)
 
     def test_horizon_must_fit_int64(self):
-        sc = build_scenario(n=3, horizon=200, t_start=0, t_end=0)
+        sc = build_scenario(n=3, horizon=200, t_start=0, t_end=0, record_shifts=False)
         with pytest.raises(ValueError, match="horizon"):
             replace(sc, horizon=2**63)
         assert replace(sc, horizon=2**63 - 1).horizon == 2**63 - 1  # built, never run
@@ -880,23 +875,18 @@ class TestComputeMetrics:
 class TestCalibration:
     def test_nominal_is_duty_expected_count(self):
         circuit = CircuitConfig.homogeneous(100, 0.08, 100.0, 50.0)
-        agents = [AgentConfig(i, 100, 50, 0, RuleKind.PASSIVE, 0.0, 1.0) for i in range(100)]
-        v_nominal, band = calibrate_nominal(circuit, agents, 10.0)
-        assert v_nominal == pytest.approx(v_load_for_count(circuit, 10.0, 50), rel=1e-12)
+        v_nominal, band = calibrate_nominal(circuit, 100, 50, 10.0)
+        assert v_nominal == v_load_for_count(circuit, 10.0, 50)
         assert band.v_low == pytest.approx(v_nominal * 0.998, rel=1e-12)
         assert band.v_high == pytest.approx(v_nominal * 1.002, rel=1e-12)
 
     def test_rounding_to_nearest_count(self):
         circuit = CircuitConfig.homogeneous(10, 0.08, 100.0, 50.0)
-        agents = [AgentConfig(i, 3, 1, 0, RuleKind.PASSIVE, 0.0, 1.0) for i in range(10)]
-        v_nominal, _ = calibrate_nominal(circuit, agents, 10.0)
-        assert v_nominal == pytest.approx(v_load_for_count(circuit, 10.0, 3), rel=1e-12)
+        v_nominal, _ = calibrate_nominal(circuit, 3, 1, 10.0)
+        assert v_nominal == v_load_for_count(circuit, 10.0, 3)
 
-    def test_mixed_duty_rejected(self):
+    @pytest.mark.parametrize("period, on_steps", [(0, 0), (0, 1), (10, 0), (10, 10), (10, 11)])
+    def test_invalid_duty_cycle_rejected(self, period, on_steps):
         circuit = CircuitConfig.homogeneous(2, 0.08, 100.0, 50.0)
-        agents = [
-            AgentConfig(0, 10, 5, 0, RuleKind.PASSIVE, 0.0, 1.0),
-            AgentConfig(1, 20, 5, 0, RuleKind.PASSIVE, 0.0, 1.0),
-        ]
-        with pytest.raises(ValueError):
-            calibrate_nominal(circuit, agents, 10.0)
+        with pytest.raises(ValueError, match="on_steps < period"):
+            calibrate_nominal(circuit, period, on_steps, 10.0)

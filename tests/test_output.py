@@ -214,6 +214,15 @@ def test_malformed_csv_rejected(tmp_path, trace, mangle, message):
     assert message in str(exc.value)
 
 
+def test_out_of_order_step_names_its_row_once(tmp_path, trace):
+    path = tmp_path / "bad.csv"
+    lines = trace_to_csv(trace).splitlines()
+    path.write_text("\n".join(lines[:2] + ["5,1.0,2.0,3.0,0"] + lines[3:]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == "row 2: step index 5 out of order"
+
+
 def test_summary_contains_all_metrics(trace):
     band = Band(8.60, 8.64)
     window = (0, 300)
