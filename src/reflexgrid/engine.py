@@ -41,7 +41,12 @@ free step t, the connection vectors of steps [t, t + m) come from a few
 array operations on (nxt, run_end).  With m below every period at most one
 window opens per cohort in the block, at max(nxt, t), and it starts a run
 iff the current one has ended by then, which is what stepping the machine
-m times decides.  Every step in the block still makes its own trigger
+m times decides.  So a cohort is connected on the steps before its
+run_end and on at most one window, and the block takes these bounds
+relative to t and clipped to [0, m]: clipping changes no comparison with
+a step of the block, so the (m, k) comparisons run on the narrowest
+unsigned type that holds m (one byte for m < 256) instead of on int64
+absolute steps.  Every step in the block still makes its own trigger
 test, its draws call and, on a control step, its plan, in step order.
 
 A reacting step inside a block, one where only plain probabilistic
@@ -97,6 +102,7 @@ every control step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,6 +131,8 @@ class Disturbance:
     def __post_init__(self):
         if not 0 <= self.t_start <= self.t_end:
             raise ValueError(f"need 0 <= t_start <= t_end, got [{self.t_start}, {self.t_end})")
+        if not math.isfinite(self.delta_v):
+            raise ValueError(f"delta_v must be finite, got {self.delta_v}")
 
     @staticmethod
     def none() -> "Disturbance":
@@ -166,6 +174,15 @@ class Scenario:
             raise ValueError(f"v_source_base must be non-negative, got {self.v_source_base}")
         if self.disturbance.t_end > self.horizon:
             raise ValueError("disturbance must end within the horizon")
+        # the circuit needs a non-negative source on every step, and the
+        # planner a positive bus voltage
+        d = self.disturbance
+        v_min = self.v_source_base
+        if d.t_start < d.t_end:
+            v_min = min(v_min, v_min - d.delta_v)
+        if v_min < 0 or (v_min == 0 and self.controller is not None):
+            need = "positive with a controller" if self.controller is not None else "non-negative"
+            raise ValueError(f"the source voltage falls to {v_min} V; it must stay {need}")
         if len(self.agents) != self.circuit.n_branches:
             raise ValueError(
                 f"{len(self.agents)} agents for {self.circuit.n_branches} circuit branches"
@@ -410,7 +427,9 @@ def run(scenario: Scenario) -> Trace:
             plan = controller_plan(
                 sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on[cohort]
             )
-            if has_cmd and plan.actions.any():
+            # count_nonzero is one C call; ndarray.any() reduces through
+            # numpy's Python-level wrapper, about 3x slower at N=1000
+            if has_cmd and np.count_nonzero(plan.actions):
                 commands = np.where(cmd_mask, plan.actions[first], 0)
 
         if uniform_thresholds:
@@ -630,10 +649,14 @@ def _free_run_rows(t, m, nxt, run_end, on_steps, period) -> np.ndarray:
     w + on_steps, where w is the window that starts a run (nxt + period,
     past the block, when none does).
     """
-    steps = np.arange(t, t + m)[:, None]
     w = np.where(run_end <= np.maximum(nxt, t), nxt, nxt + period)
-    rows = steps < run_end
-    rows |= (w <= steps) & (steps < w + on_steps)
+    # both intervals relative to t and clipped to the block, which keeps
+    # every comparison with a step in [0, m) and fits the narrowest type
+    bounds = np.array((run_end, w, w + on_steps)) - t
+    end, start, stop = np.minimum(np.maximum(bounds, 0), m).astype(np.min_scalar_type(m))
+    steps = np.arange(m, dtype=end.dtype)[:, None]
+    rows = steps < end
+    rows |= (start <= steps) & (steps < stop)
     return rows
 
 

@@ -271,6 +271,17 @@ class TestControllerPlan:
         assert advanced == list(range(len(advanced)))
         assert len(advanced) > 0
 
+    def test_held_plan_is_a_fresh_array(self):
+        # a shared zeros array would carry one plan's edits into the next
+        flex = np.array([True] * 5 + [False] * 5)
+        held = controller_plan(self.v_nominal, self.v_nominal, self.band, self.config, 10.0, flex)
+        assert held.actions.dtype == np.int8 and held.actions.shape == (10,)
+        assert not held.actions.any()
+        held.actions[:] = 1
+        again = controller_plan(self.v_nominal, self.v_nominal, self.band, self.config, 10.0, flex)
+        assert again.actions is not held.actions
+        assert again.actions.dtype == np.int8 and not again.actions.any()
+
     def test_deterministic(self):
         flex = np.array([True] * 3 + [False] * 7)
         a = controller_plan(8.0, self.v_nominal, self.band, self.config, 9.0, flex)

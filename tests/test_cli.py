@@ -248,17 +248,20 @@ INVALID_B_EDITS = [
     ("on_steps = 50", "on_steps = 0"),
     ("on_steps = 50", "on_steps = 100"),
     ("horizon = 8000", "horizon = 99999999999999999999"),
+    ("delta_v = 0.3", "delta_v = nan"),  # NaN voltages would compare as in band
+    ("delta_v = 0.3", "delta_v = 10.5"),  # a negative source
 ]
+# a sag to 0 V leaves the planner no positive bus voltage to act on
+INVALID_C_EDITS = [("delta_v = 0.3", "delta_v = 10.0")]
 
 
 class TestInvalidScenarios:
     """A scenario that cannot be built exits 1 with one error line, before
     anything runs."""
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("old, new", INVALID_B_EDITS)
-    def test_invalid_edit_of_b_exits_1(self, tmp_path, capsys, command, old, new):
-        text = (SCENARIOS / "scenario_b.cfg").read_text()
+    @staticmethod
+    def exits_1(tmp_path, capsys, command, shipped, old, new):
+        text = (SCENARIOS / shipped).read_text()
         assert old in text
         path = tmp_path / "bad.cfg"
         path.write_text(text.replace(old, new))
@@ -266,6 +269,16 @@ class TestInvalidScenarios:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new", INVALID_B_EDITS)
+    def test_invalid_edit_of_b_exits_1(self, tmp_path, capsys, command, old, new):
+        self.exits_1(tmp_path, capsys, command, "scenario_b.cfg", old, new)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new", INVALID_C_EDITS)
+    def test_invalid_edit_of_c_exits_1(self, tmp_path, capsys, command, old, new):
+        self.exits_1(tmp_path, capsys, command, "scenario_c.cfg", old, new)
 
     @pytest.fixture
     def no_circuit(self, monkeypatch):

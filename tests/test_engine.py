@@ -422,6 +422,46 @@ class TestFreeRunBlocks:
             assert np.array_equal(after[1], stepped_end)
 
 
+@st.composite
+def wide_blocks(draw):
+    """A block of m steps, where m is one of the lengths at which the
+    narrowest type that holds m changes, over cycle machines of period
+    m + 1 before step t: windows from one step late to far postponed, runs
+    that ended long ago, end inside the block or past it."""
+    m = draw(st.sampled_from([255, 256, 65535, 65536]))
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 2**40))
+    on_steps = [draw(st.sampled_from([1, m]) | st.integers(1, m)) for _ in range(k)]
+    nxt = [t - 1 + draw(st.sampled_from([0, 1, m]) | st.integers(0, 3 * m)) for _ in range(k)]
+    run_end = [draw(st.sampled_from([0, t]) | st.integers(t - 3 * m, t + 2 * m)) for _ in range(k)]
+    period = [m + 1] * k
+    return m, t, *(np.array(a, dtype=np.int64) for a in (nxt, run_end, on_steps, period))
+
+
+def _one(value):
+    return np.array([value], dtype=np.int64)
+
+
+class TestNarrowBlockRows:
+    """A block compares its steps with bounds relative to its first step,
+    clipped to [0, m], on the narrowest type that holds m; at the lengths
+    where that type changes the rows must still be the one-step machine's."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(wide_blocks())
+    # a run that ended 2**40 steps ago, and a window that runs past the block
+    @example((255, 2**40, _one(2**40 + 200), _one(0), _one(255), _one(256)))
+    # a run that ends past the block, and the window it skips
+    @example((256, 2**40, _one(2**40 + 3), _one(2**40 + 400), _one(200), _one(257)))
+    @example((65536, 9, _one(65000), _one(8 - 2**40), _one(65536), _one(65537)))
+    def test_block_bounds_fit_a_narrow_type(self, block):
+        m, t, nxt, run_end, on_steps, period = block
+        rows = _free_run_rows(t, m, nxt, run_end, on_steps, period)
+        stepped = [_cycle_step(s, nxt, run_end, on_steps, period) for s in range(t, t + m)]
+        assert rows.shape == (m, len(nxt))
+        assert np.array_equal(rows, stepped)
+
+
 def patched_fleet(period, on_steps, phases, p, seed, horizon, t_start, t_end, delta_v,
                   sensing_delay, offsets, max_shifts, periods=None, reactive_copies=0):
     """Probabilistic agents with per-agent thresholds, ``max_shift`` and
@@ -809,6 +849,20 @@ class TestScenarioValidation:
         sc = build_scenario(n=3, horizon=200)
         with pytest.raises(ValueError):
             Scenario(sc.circuit, sc.v_source_base, sc.disturbance, sc.agents[:2], sc.band, 200, 0)
+
+    def test_sag_must_leave_a_usable_source(self):
+        with pytest.raises(ValueError, match="finite"):
+            Disturbance(10, 20, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Disturbance(10, 20, math.inf)
+        with pytest.raises(ValueError, match="non-negative"):
+            build_scenario(delta_v=10.5)
+        # a sag to 0 V is a dead source: the circuit solves it, the planner cannot
+        assert build_scenario(delta_v=10.0).disturbance.delta_v == 10.0
+        with pytest.raises(ValueError, match="positive with a controller"):
+            build_scenario(RuleKind.COMMANDED, controller=True, delta_v=10.0)
+        # an empty sag applies no voltage
+        build_scenario(RuleKind.COMMANDED, controller=True, t_start=5, t_end=5, delta_v=12.0)
 
     def test_controller_needs_identical_branches(self):
         sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)
