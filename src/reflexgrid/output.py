@@ -6,12 +6,18 @@ shifts were recorded.  Floats render as their shortest round-trip
 representation, so identical runs serialize byte-identically.
 
 The CSV is made in blocks of rows.  A block keys each row on the bit
-patterns of its four base values, formats each distinct record once as
-``,v_source,v_load,i_total,n_flex_on`` plus its terminator, and splices
-the step numbers, the record texts and the shift texts into one list that
-one ``join`` turns into the block's text; a shift row equal to the row
-before it reuses that row's text.  The bytes equal formatting each value
-with ``repr(float(x))`` or ``str(int(x))``.  ``write_trace_csv`` writes
+patterns of its four base values: ``_ranks`` sorts a column, keeps the
+values that differ from their neighbour and finds each row's rank among
+them with a binary search, and the four ranks make one mixed-radix key,
+ranked the same way.  Each distinct record is formatted once as
+``,v_source,v_load,i_total,n_flex_on`` plus its terminator.  Step numbers
+come from tables: a step of 1000 or more is ``str(t // 1000)``, one string
+shared by its thousand, then its last three digits from a ``%03d`` table;
+a smaller step comes from a ``str`` table.  The step parts, the record
+texts and the shift texts are spliced into one list that one ``join``
+turns into the block's text; a shift row equal to the row before it
+reuses that row's text.  The bytes equal formatting each value with
+``repr(float(x))`` or ``str(int(x))``.  ``write_trace_csv`` writes
 the blocks as they are made, so it holds at most one block's text and a
 long trace never exists as one string; ``trace_to_csv`` joins them.
 
@@ -33,10 +39,26 @@ from .engine import Metrics, Trace
 _BASE_COLUMNS = ("t", "v_source", "v_load", "i_total", "n_flex_on")
 # rows per block: bounds the text held at once while writing a long trace
 _BLOCK_ROWS = 4096
+# the text of 0..999 and of the last three digits of a step of 1000 or more
+_SMALL_STEPS = [str(r) for r in range(1000)]
+_LOW_DIGITS = ["%03d" % r for r in range(1000)]
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each element's rank among the distinct values of ``values``, and their count.
+
+    The ranks equal ``np.unique(values, return_inverse=True)[1]``.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    distinct = ordered[keep]
+    return np.searchsorted(distinct, values), len(distinct)
 
 
 def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
@@ -52,31 +74,44 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
             raise ValueError("trace has no recorded shifts")
         header += [f"shift_{i}" for i in range(shifts.shape[1])]
     yield ",".join(header) + "\n"
-    # a row is its step, its record's tail and, with shifts, its shift text
-    width, end = (2, "\n") if shifts is None else (3, ",")
+    # a row is its step's thousands and last three digits, its record's tail
+    # and, with shifts, its shift text
+    width, end = (3, "\n") if shifts is None else (4, ",")
     floats = [np.asarray(c, dtype=np.float64) for c in (trace.v_source, trace.v_load, trace.i_total)]
     columns = floats + [trace.n_flex_on]
     # floats are keyed on bits, so -0.0 and 0.0 stay apart
     keyed = [c.view(np.uint64) for c in floats] + [trace.n_flex_on]
     for start in range(0, trace.horizon, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, trace.horizon)
+        rows = stop - start
         # one key per record: below _BLOCK_ROWS**4 < 2**63
-        key = np.zeros(stop - start, dtype=np.int64)
+        key = np.zeros(rows, dtype=np.int64)
         for column in keyed:
-            values, inverse = np.unique(column[start:stop], return_inverse=True)
-            key = key * len(values) + inverse
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            rank, count = _ranks(column[start:stop])
+            key = key * count + rank
+        inverse, count = _ranks(key)
+        # any row of a record will do: its four values are equal bit for bit
+        first = np.empty(count, dtype=np.intp)
+        first[inverse] = np.arange(rows)
         records = zip(*(c[start:stop][first].tolist() for c in columns))
         tails = np.array([f",{a!r},{b!r},{c!r},{n}{end}" for a, b, c, n in records], dtype=object)
-        parts = [""] * (width * (stop - start))
-        parts[0::width] = map(str, range(start, stop))
-        parts[1::width] = tails[inverse].tolist()
+        parts = [""] * (width * rows)
+        # step t is str(t // 1000), shared by its thousand, then its last three
+        # digits; below 1000 the first part stays empty.  Each thousand is
+        # clipped to the block.
+        for lo in range(start - start % 1000, stop, 1000):
+            a, b = max(lo, start), min(lo + 1000, stop)
+            i, j = width * (a - start), width * (b - start)
+            if lo:
+                parts[i:j:width] = [str(lo // 1000)] * (b - a)
+            parts[i + 1 : j : width] = (_LOW_DIGITS if lo else _SMALL_STEPS)[a - lo : b - lo]
+        parts[2::width] = tails[inverse].tolist()
         if shifts is not None:
             block = shifts[start:stop]
             changed = np.ones(len(block), dtype=bool)
             changed[1:] = (block[1:] != block[:-1]).any(axis=1)
             distinct = [",".join(map(str, row)) + "\n" for row in block[changed].tolist()]
-            parts[2::width] = np.array(distinct, dtype=object)[np.cumsum(changed) - 1].tolist()
+            parts[3::width] = np.array(distinct, dtype=object)[np.cumsum(changed) - 1].tolist()
         yield "".join(parts)
 
 
@@ -128,9 +163,16 @@ def read_trace_csv(path: str | Path) -> Trace:
             v_source[t] = float(row[1])
             v_load[t] = float(row[2])
             i_total[t] = float(row[3])
-            n_flex[t] = int(row[4])
+            n = int(row[4])
+            if not -(2**63) <= n < 2**63:
+                raise ValueError(f"n_flex_on {n} out of range for int64")
+            n_flex[t] = n
             if shifts is not None:
-                shifts[t] = [int(x) for x in row[5:]]
+                values = [int(x) for x in row[5:]]
+                if min(values) < -(2**31) or max(values) >= 2**31:
+                    bad = next(v for v in values if not -(2**31) <= v < 2**31)
+                    raise ValueError(f"shift {bad} out of range for int32")
+                shifts[t] = values
         except ValueError as exc:
             raise ValueError(f"row {t + 1}: {exc}")
     return Trace(v_source, v_load, i_total, n_flex, shifts)

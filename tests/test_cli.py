@@ -235,6 +235,17 @@ class TestUnreadableFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [("", "99999999999999999999"), (",shift_0", "0,99999999999")],
+    )
+    def test_out_of_range_trace_integer_exits_1(self, tmp_path, capsys, header, row):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"t,v_source,v_load,i_total,n_flex_on{header}\n0,1.0,1.0,1.0,{row}\n")
+        assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 1: ") and err.count("\n") == 1
+
 
 # edits to shipped scenario B that each make it invalid
 INVALID_B_EDITS = [

@@ -15,6 +15,7 @@ from reflexgrid.engine import Trace
 from reflexgrid.output import (
     _BLOCK_ROWS,
     _chart_points,
+    _ranks,
     metrics_summary,
     read_trace_csv,
     trace_to_csv,
@@ -191,6 +192,40 @@ def test_written_file_has_the_csv_bytes(tmp_path, horizon, include_shifts):
     assert lines(path.read_bytes().decode("utf-8")) == expected
 
 
+# the step text changes form at 1000 and grows a digit at each power of ten
+@pytest.mark.parametrize("horizon", [999, 1000, 1001, 9999, 10_001, 100_001])
+@pytest.mark.parametrize("include_shifts", [False, True])
+def test_step_numbers_at_digit_boundaries(tmp_path, horizon, include_shifts):
+    trace = synthetic_trace(horizon, [0.5, -0.0], 2, "runs", horizon, n_flex_pool=[0, 7])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=include_shifts)
+    expected = lines(reference_csv(trace, include_shifts))
+    assert lines(trace_to_csv(trace, include_shifts)) == expected
+    assert lines(path.read_bytes().decode("utf-8")) == expected
+
+
+INT64_EXTREMES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=50).map(
+            lambda xs: np.array(xs, dtype=np.float64).view(np.uint64)
+        ),
+        st.lists(st.sampled_from(INT64_EXTREMES) | st.integers(-(2**63), 2**63 - 1),
+                 min_size=1, max_size=50).map(lambda xs: np.array(xs, dtype=np.int64)),
+    )
+)
+@example(values=np.array(SPECIAL_FLOATS, dtype=np.float64).view(np.uint64))
+@example(values=np.array(INT64_EXTREMES[::-1] * 2, dtype=np.int64))
+def test_ranks_match_unique_inverse(values):
+    distinct, inverse = np.unique(values, return_inverse=True)
+    rank, count = _ranks(values)
+    assert count == len(distinct)
+    assert np.array_equal(rank, inverse)
+
+
 def test_csv_text_is_deterministic(trace):
     assert trace_to_csv(trace) == trace_to_csv(trace)
 
@@ -203,6 +238,11 @@ def test_csv_text_is_deterministic(trace):
         (lambda lines: lines[:3] + ["9,1,2,3"] + lines[4:], "fields"),
         (lambda lines: lines[:1] + ["7,1.0,2.0,3.0,0"] + lines[2:], "out of order"),
         (lambda lines: lines[:1] + ["0,abc,2.0,3.0,0"] + lines[2:], "row 1"),
+        # integers too wide for their columns' types
+        (lambda lines: lines[:2] + ["1,1.0,2.0,3.0,99999999999999999999"] + lines[3:],
+         "row 2: n_flex_on 99999999999999999999 out of range for int64"),
+        (lambda lines: [lines[0] + ",shift_0,shift_1", "0,1.0,2.0,3.0,0,0,99999999999"],
+         "row 1: shift 99999999999 out of range for int32"),
     ],
 )
 def test_malformed_csv_rejected(tmp_path, trace, mangle, message):
