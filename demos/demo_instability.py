@@ -43,9 +43,10 @@ print(f"   outside-band fraction after the sag: {m.outside_band_fraction:.3f}")
 print(f"   band crossings: {m.band_crossings}, "
       f"overshoot {m.max_overshoot*1000:.1f} mV, undershoot {m.max_undershoot*1000:.1f} mV")
 
-same = bool((trace.shifts == trace.shifts[:, :1]).all())
+shifts = trace.shifts  # built from the trace's shift record on each read
+same = bool((shifts == shifts[:, :1]).all())
 print(f"\n3. The herd: every agent carries the identical shift at every step: {same}")
-peak = int(np.abs(trace.shifts[:, 0]).max())
+peak = int(np.abs(shifts[:, 0]).max())
 print(f"   common shift peaks at {peak} steps of accumulated postponement")
 
 print("\n4. What the oscillation looks like (connected flexible loads), after the sag:")

@@ -51,6 +51,7 @@ from .engine import (
     Disturbance,
     Metrics,
     Scenario,
+    ShiftRecord,
     Trace,
     calibrate_nominal,
     compute_metrics,
@@ -83,6 +84,7 @@ __all__ = [
     "Scenario",
     "ScenarioBundle",
     "ScenarioFileError",
+    "ShiftRecord",
     "Trace",
     "Violation",
     "Word",

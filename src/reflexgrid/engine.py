@@ -21,8 +21,9 @@ few of them, so each run memoizes the total conductance and the connected
 count per vector (keyed on its bytes).  A miss computes them by the same
 expressions, the pairwise sum of the same N values in agent order, so a
 hit returns the bits the step would compute.  The memo is local to the
-run and cleared when it would exceed ``_CIRCUIT_MEMO_BYTES``, counting
-each entry as its key plus 256 bytes.
+run and cleared when it would exceed ``_ENGINE_CACHE_BYTES``, counting
+each entry as its key plus 256 bytes.  That byte budget also bounds the
+free-run block rows and the limit-cycle watch's checkpoints below.
 
 The cycle machine keeps absolute steps instead of a window position: an
 agent is connected at step t iff t < run_end, and its next window opens at
@@ -66,7 +67,7 @@ cohorts all move on every trigger, latched ones need their episode state
 and commanded ones their override, and those moves run across all
 cohorts at once.  m starts at 1 (such a block is just the one-step
 machine), doubles after a block that ran to its end, drops back to 1
-after a stop, and stays below every period and within the circuit memo's
+after a stop, and stays below every period and within the engine's cache
 bytes.
 
 Passive and reactive agents with equal configurations and equal circuit
@@ -86,7 +87,7 @@ checkpoint since the last restart, not only Brent's latest one, so a
 cycle that starts at mu is found P steps after the first checkpoint taken
 inside it, near mu + P (as with Nivasch's stack of earlier values); the
 full comparison runs only when the step's voltage equals a checkpoint's.
-The checkpoints hold at most the circuit memo's byte budget, the oldest
+The checkpoints hold at most the engine's cache bytes, the oldest
 dropped first, so a fleet whose keys do not fit keeps only the latest, as
 Brent does.  When the state after t2 = t1 + P repeats it, every later step
 repeats the period (t1, t2] with each cohort's shifts moved on by its
@@ -98,11 +99,19 @@ same steps would compute from the same inputs, so the trace is
 bit-identical; the simulation then resumes from the state advanced by the
 copied steps.  A controller fleet is never copied, so the planner runs on
 every control step.
+
+Recorded shifts are kept as a ``ShiftRecord``: the steps at which the
+cohort shift vector changes and the vector after each change.  Only a
+dispatching step, a patch of a free-run block and a copied period can
+move a shift, so only they append to it, and a step that leaves every
+shift as it was appends nothing.  A copied period appends the period's
+changes moved on by the copy's drift.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,12 +121,15 @@ from numpy.random import Generator, Philox
 from .agents import AgentConfig, Band, RuleKind, controller_plan
 from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
 
-# any shift record holds at most this many int32 entries (256 MiB)
+# recorded shifts of at most this many (step, agent) entries: the record is
+# small, but ``Trace.shifts`` materializes horizon x N int32 (256 MiB here)
+# and the CSV's shift columns hold as many numbers
 SHIFT_RECORDING_MAX_ENTRIES = 2**26
-# bytes one run's circuit memo may hold, counting each entry as its k-byte
-# key plus about 256 bytes of dict slot, bytes, tuple and float objects;
-# the limit-cycle watch's checkpoints hold at most as many again
-_CIRCUIT_MEMO_BYTES = 2**22
+# bytes each of the engine's per-run caches may hold: the circuit memo,
+# counting each entry as its k-byte key plus about 256 bytes of dict slot,
+# bytes, tuple and float objects; a free-run block's (m, k) rows; and the
+# limit-cycle watch's checkpoints
+_ENGINE_CACHE_BYTES = 2**22
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,7 @@ class Scenario:
     seed: int
     controller: ControllerConfig | None = None
     sensing_delay: int = 1
-    record_shifts: bool = False  # keep the (horizon, N) shift matrix in the trace
+    record_shifts: bool = False  # keep the shifts in the trace, as a ShiftRecord
 
     def __post_init__(self):
         if not 1 <= self.horizon < 2**63:
@@ -206,14 +218,52 @@ class Scenario:
 
 
 @dataclass(frozen=True)
+class ShiftRecord:
+    """Every agent's shift at every step, stored as the rows that change.
+
+    ``steps`` (int64, increasing, starting at 0) are the steps at which the
+    shift vector changes, ``values`` (int32, (changes, k)) the vector from
+    each of them on, one column per cohort, and ``cohort`` (N,) each agent's
+    column.  Row t of the (horizon, N) shift matrix is
+    ``values[i][cohort]`` for the last ``steps[i] <= t``.
+    """
+
+    steps: np.ndarray
+    values: np.ndarray
+    cohort: np.ndarray
+
+    @staticmethod
+    def from_matrix(shifts: np.ndarray) -> "ShiftRecord":
+        """The record of a (horizon, N) shift matrix, one cohort per agent."""
+        changed = np.ones(len(shifts), dtype=bool)
+        changed[1:] = (shifts[1:] != shifts[:-1]).any(axis=1)
+        values = np.asarray(shifts[changed], dtype=np.int32)
+        return ShiftRecord(np.flatnonzero(changed), values, np.arange(shifts.shape[1]))
+
+    def changes(self, start: int, stop: int) -> np.ndarray:
+        """The index of the change in force at each of steps [start, stop)."""
+        return np.searchsorted(self.steps, np.arange(start, stop), side="right") - 1
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of the shift matrix, int32."""
+        return self.values[:, self.cohort][self.changes(start, stop)]
+
+
+@dataclass(frozen=True)
 class Trace:
-    """Per-step time series; ``shifts`` is (horizon, N) or None."""
+    """Per-step time series and, when recorded, the shifts as a ``ShiftRecord``.
+
+    ``shifts`` materializes the record as an int32 (horizon, N) matrix on
+    each read, or is None when no shifts were recorded.  That matrix, at
+    most ``SHIFT_RECORDING_MAX_ENTRIES`` entries (256 MiB), is what the
+    bound limits; the record itself holds one row per change.
+    """
 
     v_source: np.ndarray
     v_load: np.ndarray
     i_total: np.ndarray
     n_flex_on: np.ndarray
-    shifts: np.ndarray | None = None
+    shift_record: ShiftRecord | None = None
     # (t1, P) of the last limit cycle the engine copied forward: the state
     # after step t1 + P equaled the state after step t1, shifts aside
     cycle: tuple[int, int] | None = None
@@ -221,6 +271,11 @@ class Trace:
     @property
     def horizon(self) -> int:
         return len(self.v_load)
+
+    @property
+    def shifts(self) -> np.ndarray | None:
+        record = self.shift_record
+        return None if record is None else record.rows(0, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -370,7 +425,10 @@ def run(scenario: Scenario) -> Trace:
     trace_v = np.empty(horizon)
     trace_i = np.empty(horizon)
     trace_n = np.empty(horizon, dtype=np.int64)
-    trace_shifts = np.empty((horizon, n), dtype=np.int32) if scenario.record_shifts else None
+    # the shift record: steps at which the cohort shifts change, and the
+    # shifts from each on; it starts with the shifts before step 0
+    shift_steps = [0] if scenario.record_shifts else None
+    shift_values = [np.zeros(k, dtype=np.int32)]
 
     v_init = initial_sensed_voltage(scenario)
     delay = scenario.sensing_delay
@@ -379,7 +437,7 @@ def run(scenario: Scenario) -> Trace:
     flex_on = connected
     # (g_total, n_on) per cohort connection vector, cleared when full
     circuit_memo: dict[bytes, tuple[float, int]] = {}
-    memo_entries = max(1, _CIRCUIT_MEMO_BYTES // (k + 256))
+    memo_entries = max(1, _ENGINE_CACHE_BYTES // (k + 256))
 
     # limit-cycle watch (fleets without draws or a controller): the state
     # key after step t is checkpointed at powers of two since the last
@@ -387,7 +445,7 @@ def run(scenario: Scenario) -> Trace:
     # indexed by its voltage, and a step whose voltage equals a checkpoint's
     # compares keys.  A checkpoint's lo/hi are each cohort's unclipped shift
     # extremes from it to the latest checkpoint, and the live lo/hi go on
-    # from there.  The checkpoints hold at most _CIRCUIT_MEMO_BYTES, the
+    # from there.  The checkpoints hold at most _ENGINE_CACHE_BYTES, the
     # oldest dropped first and the latest always kept.
     watch = not has_prob and ctrl is None
     changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
@@ -404,16 +462,15 @@ def run(scenario: Scenario) -> Trace:
     # cohorts as it has steps, so patching costs a few scalar operations per
     # step.  ``block_len`` doubles after a block that ran to its end and
     # restarts at 1 after a stop; a block holds at most one window per
-    # cohort and no more bytes than the circuit memo.
+    # cohort and at most _ENGINE_CACHE_BYTES.
     blocks = not watch
-    max_block = min(int(period.min()) - 1, max(1, _CIRCUIT_MEMO_BYTES // k))
+    max_block = min(int(period.min()) - 1, max(1, _ENGINE_CACHE_BYTES // k))
     block_len = 1
     rows = None  # the open block's vectors, one row per step from blk_t
     blk_t = blk_end = 0
-    # per-cohort scalars for patches, and the agent whose shifts each records
+    # per-cohort scalars for patches
     period_of, on_steps_of = period.tolist(), on_steps.tolist()
     min_shift_of, max_shift_of = min_shift.tolist(), max_shift.tolist()
-    agent_of = np.arange(n)[first].tolist()
 
     t = 0
     while t < horizon:
@@ -483,8 +540,6 @@ def run(scenario: Scenario) -> Trace:
                         rows &= allowed
                         rows |= forced
                     keys = rows.tobytes()  # row i is keys[i * k : (i + 1) * k]
-                    if trace_shifts is not None:
-                        trace_shifts[t:blk_end] = shift[cohort]
 
         # --- decision rules (vectorized twin of agents.agent_step) ---
         if quiet:
@@ -510,9 +565,9 @@ def run(scenario: Scenario) -> Trace:
                 col[:] = False
                 col[: max(rj - t, 0)] = True
                 col[w - t : w - t + on_steps_of[j]] = True
-                if trace_shifts is not None:
-                    trace_shifts[t:blk_end, agent_of[j]] = new_shift
             keys = rows.tobytes()
+            if shift_steps is not None:
+                _record_shifts(shift_steps, shift_values, t, shift)
         elif not free:
             if has_latch:
                 active = latched & (trigger != 0)
@@ -537,6 +592,8 @@ def run(scenario: Scenario) -> Trace:
             # a postponed window opens later, an advanced one earlier; an
             # advance may find the window opened one step ago
             nxt = nxt + (np.where(cmd_mask, 0, new_shift - shift) if has_cmd else new_shift - shift)
+            if shift_steps is not None:
+                _record_shifts(shift_steps, shift_values, t, new_shift)
             shift = new_shift
 
         # --- cycle machine ---
@@ -548,8 +605,6 @@ def run(scenario: Scenario) -> Trace:
             connected = _cycle_step(t, nxt, run_end, on_steps, period)
             flex_on = (connected & allowed) | forced if has_cmd else connected
             key = flex_on.tobytes()
-            if trace_shifts is not None:
-                trace_shifts[t] = shift[cohort]
 
         # --- physical layer ---
         solved = circuit_memo.get(key)
@@ -591,7 +646,9 @@ def run(scenario: Scenario) -> Trace:
                     copies = min(copies, int((room[moving] // np.abs(drift[moving])).min()))
                 steps = min(steps, copies * p_len)
                 if steps > 0:
-                    _copy_periods(trace_v, trace_i, trace_n, trace_shifts, t1, t, steps, drift[cohort])
+                    _copy_periods(trace_v, trace_i, trace_n, t1, t, steps)
+                    if shift_steps is not None:
+                        _copy_shift_periods(shift_steps, shift_values, t1, t, steps, drift)
                     nxt = nxt + steps
                     run_end = run_end + steps
                     shift = shift + steps // p_len * drift
@@ -611,7 +668,7 @@ def run(scenario: Scenario) -> Trace:
                 checkpoints.append(ck)
                 by_v.setdefault(ck_v, []).append(ck)
                 ck_bytes = len(ck[2]) + 3 * shift.nbytes
-                while len(checkpoints) * ck_bytes > _CIRCUIT_MEMO_BYTES and len(checkpoints) > 1:
+                while len(checkpoints) * ck_bytes > _ENGINE_CACHE_BYTES and len(checkpoints) > 1:
                     old = checkpoints.pop(0)
                     same = by_v[old[1]]
                     same.pop(0)  # the oldest checkpoint of its voltage
@@ -620,7 +677,26 @@ def run(scenario: Scenario) -> Trace:
                 lo = hi = shift
         t += 1
 
-    return Trace(trace_vs, trace_v, trace_i, trace_n, trace_shifts, cycle)
+    record = None
+    if shift_steps is not None:
+        record = ShiftRecord(
+            np.array(shift_steps, dtype=np.int64),
+            np.array(shift_values, dtype=np.int32).reshape(len(shift_steps), k),
+            np.arange(n) if isinstance(cohort, slice) else cohort,
+        )
+    return Trace(trace_vs, trace_v, trace_i, trace_n, record, cycle)
+
+
+def _record_shifts(steps, values, t, shift) -> None:
+    """Record ``shift`` as the shifts from step t on, unless it equals the
+    last recorded shifts; a change at step 0 replaces the shifts before it."""
+    if not np.count_nonzero(shift != values[-1]):
+        return
+    if steps[-1] == t:
+        values[-1] = shift.astype(np.int32)
+    else:
+        steps.append(t)
+        values.append(shift.astype(np.int32))
 
 
 def _cycle_step(t, nxt, run_end, on_steps, period) -> np.ndarray:
@@ -708,20 +784,39 @@ def _state_key(t, nxt, run_end, trace_v, delay) -> bytes:
     ))
 
 
-def _copy_periods(trace_v, trace_i, trace_n, trace_shifts, t1, t2, steps, drift) -> None:
-    """Fill steps (t2, t2 + steps] with the period (t1, t2], one copy at a
-    time, adding ``drift`` to the shifts once per copy."""
+def _copy_periods(trace_v, trace_i, trace_n, t1, t2, steps) -> None:
+    """Fill steps (t2, t2 + steps] with the period (t1, t2], one copy at a time."""
     p_len = t2 - t1
     stop = t2 + 1 + steps
-    for j, dst in enumerate(range(t2 + 1, stop, p_len), 1):
+    for dst in range(t2 + 1, stop, p_len):
         w = min(p_len, stop - dst)
         src = slice(t1 + 1, t1 + 1 + w)
         out = slice(dst, dst + w)
         trace_v[out] = trace_v[src]
         trace_i[out] = trace_i[src]
         trace_n[out] = trace_n[src]
-        if trace_shifts is not None:
-            np.add(trace_shifts[src], (j * drift).astype(np.int32), out=trace_shifts[out])
+
+
+def _copy_shift_periods(shift_steps, shift_values, t1, t2, steps, drift) -> None:
+    """Record steps (t2, t2 + steps] as copies of the period (t1, t2], adding
+    ``drift`` to the shifts once per copy.
+
+    The period's changes stay changes in every copy, so only each copy's
+    first step is compared with the row before it.
+    """
+    p_len = t2 - t1
+    stop = t2 + 1 + steps
+    lo = bisect_right(shift_steps, t1 + 1)
+    hi = bisect_right(shift_steps, t2)
+    start = shift_values[lo - 1]  # the shifts at step t1 + 1
+    offsets = np.array(shift_steps[lo:hi], dtype=np.int64) - (t1 + 1)
+    changes = np.array(shift_values[lo:hi], dtype=np.int32).reshape(hi - lo, len(start))
+    for j, dst in enumerate(range(t2 + 1, stop, p_len), 1):
+        move = (j * drift).astype(np.int32)
+        _record_shifts(shift_steps, shift_values, dst, start + move)
+        within = np.searchsorted(offsets, stop - dst)  # changes before the copy's end
+        shift_steps.extend((offsets[:within] + dst).tolist())
+        shift_values.extend(changes[:within] + move)
 
 
 def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metrics:

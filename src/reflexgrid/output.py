@@ -13,13 +13,18 @@ ranked the same way.  Each distinct record is formatted once as
 ``,v_source,v_load,i_total,n_flex_on`` plus its terminator.  Step numbers
 come from tables: a step of 1000 or more is ``str(t // 1000)``, one string
 shared by its thousand, then its last three digits from a ``%03d`` table;
-a smaller step comes from a ``str`` table.  The step parts, the record
-texts and the shift texts are spliced into one list that one ``join``
-turns into the block's text; a shift row equal to the row before it
-reuses that row's text.  The bytes equal formatting each value with
-``repr(float(x))`` or ``str(int(x))``.  ``write_trace_csv`` writes
-the blocks as they are made, so it holds at most one block's text and a
-long trace never exists as one string; ``trace_to_csv`` joins them.
+a smaller step comes from a ``str`` table.  Shift columns come from the
+trace's ``ShiftRecord``: one binary search finds the change in force at
+each row, and each change in force in the block is expanded to agent
+order and formatted once, so the (horizon, N) shift matrix is never
+built.  The shift text still holds horizon x N numbers; that, not the
+run's memory, is what ``engine.SHIFT_RECORDING_MAX_ENTRIES`` bounds.
+The step parts, the record texts and the shift texts are spliced into
+one list that one ``join`` turns into the block's text.  The bytes equal
+formatting each value with ``repr(float(x))`` or ``str(int(x))``.
+``write_trace_csv`` writes the blocks as they are made, so it holds at
+most one block's text and a long trace never exists as one string;
+``trace_to_csv`` joins them.
 
 The SVG chart computes its points as float64 arrays, in the order the
 scalar expressions would, and formats them with one ``%``.
@@ -34,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .agents import Band
-from .engine import Metrics, Trace
+from .engine import Metrics, ShiftRecord, Trace
 
 _BASE_COLUMNS = ("t", "v_source", "v_load", "i_total", "n_flex_on")
 # rows per block: bounds the text held at once while writing a long trace
@@ -68,11 +73,11 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
     bytes ``repr(float(x))`` and ``str(int(x))`` give for the numpy scalar.
     """
     header = list(_BASE_COLUMNS)
-    shifts = trace.shifts if include_shifts else None
+    shifts = trace.shift_record if include_shifts else None
     if include_shifts:
         if shifts is None:
             raise ValueError("trace has no recorded shifts")
-        header += [f"shift_{i}" for i in range(shifts.shape[1])]
+        header += [f"shift_{i}" for i in range(len(shifts.cohort))]
     yield ",".join(header) + "\n"
     # a row is its step's thousands and last three digits, its record's tail
     # and, with shifts, its shift text
@@ -107,11 +112,12 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
             parts[i + 1 : j : width] = (_LOW_DIGITS if lo else _SMALL_STEPS)[a - lo : b - lo]
         parts[2::width] = tails[inverse].tolist()
         if shifts is not None:
-            block = shifts[start:stop]
-            changed = np.ones(len(block), dtype=bool)
-            changed[1:] = (block[1:] != block[:-1]).any(axis=1)
-            distinct = [",".join(map(str, row)) + "\n" for row in block[changed].tolist()]
-            parts[3::width] = np.array(distinct, dtype=object)[np.cumsum(changed) - 1].tolist()
+            # each change in force in the block is formatted once, in agent order
+            change = shifts.changes(start, stop)
+            first_change = int(change[0])
+            expanded = shifts.values[first_change : int(change[-1]) + 1][:, shifts.cohort]
+            texts = [",".join(map(str, row)) + "\n" for row in expanded.tolist()]
+            parts[3::width] = np.array(texts, dtype=object)[change - first_change].tolist()
         yield "".join(parts)
 
 
@@ -130,7 +136,8 @@ def write_trace_csv(trace: Trace, path: str | Path, include_shifts: bool = False
 
 
 def read_trace_csv(path: str | Path) -> Trace:
-    """Parse a trace CSV back into arrays; raises ValueError on bad schema."""
+    """Parse a trace CSV back into arrays and, when it has shift columns, a
+    ``ShiftRecord`` of one cohort per agent; raises ValueError on bad schema."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -175,7 +182,8 @@ def read_trace_csv(path: str | Path) -> Trace:
                 shifts[t] = values
         except ValueError as exc:
             raise ValueError(f"row {t + 1}: {exc}")
-    return Trace(v_source, v_load, i_total, n_flex, shifts)
+    record = None if shifts is None else ShiftRecord.from_matrix(shifts)
+    return Trace(v_source, v_load, i_total, n_flex, record)
 
 
 def metrics_summary(metrics: Metrics, band: Band, window: tuple[int, int]) -> str:

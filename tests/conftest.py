@@ -18,6 +18,7 @@ from reflexgrid.engine import (
     ControllerConfig,
     Disturbance,
     Scenario,
+    ShiftRecord,
     Trace,
     calibrate_nominal,
     initial_sensed_voltage,
@@ -125,4 +126,4 @@ def run_reference(scenario: Scenario) -> Trace:
         n_on[t] = sum(flex_on)
         shifts[t] = [st.shift for st in states]
 
-    return Trace(v_source, v_load, i_total, n_on, shifts)
+    return Trace(v_source, v_load, i_total, n_on, ShiftRecord.from_matrix(shifts))

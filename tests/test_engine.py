@@ -2,6 +2,7 @@
 the control invariants behind the herding story, and metrics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from reflexgrid.engine import (
     run,
     uniform_draws,
 )
-from reflexgrid.scenariofile import load_scenario
+from reflexgrid.scenariofile import load_scenario, parse_scenario_text
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -369,7 +370,7 @@ class TestCircuitMemo:
 
         sc = replace(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario, record_shifts=True)
         full = run(sc)
-        monkeypatch.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+        monkeypatch.setattr(reflexgrid.engine, "_ENGINE_CACHE_BYTES", 0)
         evicting = run(sc)
         assert traces_equal(evicting, full)
         assert np.array_equal(evicting.shifts, full.shifts)
@@ -380,7 +381,7 @@ class TestCircuitMemo:
         import reflexgrid.engine
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+            mp.setattr(reflexgrid.engine, "_ENGINE_CACHE_BYTES", 0)
             engine_trace = run(sc)
         ref_trace = run_reference(sc)
         assert traces_equal(engine_trace, ref_trace)
@@ -716,7 +717,7 @@ class TestLimitCycles:
         import reflexgrid.engine
 
         every = run(herd_fleet())
-        monkeypatch.setattr(reflexgrid.engine, "_CIRCUIT_MEMO_BYTES", 0)
+        monkeypatch.setattr(reflexgrid.engine, "_ENGINE_CACHE_BYTES", 0)
         steps = simulated_steps(monkeypatch)
         latest = run(herd_fleet())
         assert latest.cycle == (3246, 1090)
@@ -826,6 +827,41 @@ class TestTraceConsistency:
         with pytest.raises(ValueError, match="entries"):
             build_scenario(horizon=steps + 1, record_shifts=True, **calm)
         assert not build_scenario(horizon=steps + 1, record_shifts=False, **calm).record_shifts
+
+
+class TestShiftRecord:
+    """Recorded shifts are kept as the steps where they change and the cohort
+    shifts after each change, never as a (horizon, N) matrix."""
+
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_record_holds_one_entry_per_change(self, name):
+        sc = replace(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario, record_shifts=True)
+        trace = run(sc)
+        record = trace.shift_record
+        changed_rows = np.count_nonzero((trace.shifts[1:] != trace.shifts[:-1]).any(axis=1))
+        assert record.steps[0] == 0
+        assert len(record.steps) == 1 + changed_rows
+        assert len(record.values) == len(record.steps)
+        assert record.values.dtype == np.int32 and len(record.cohort) == sc.n_agents
+
+    def test_controller_fleet_records_without_the_matrix(self):
+        # scenario C scaled to 1000 appliances over 4000 steps, whose shift
+        # matrix would be 4000 x 1000 int32 (15.3 MiB)
+        text = (SCENARIOS / "scenario_c.cfg").read_text()
+        for old, new in [("count = 100", "count = 1000"), ("r_base = 100.0", "r_base = 1000.0"),
+                         ("r_flex = 50.0", "r_flex = 500.0"), ("horizon = 8000", "horizon = 4000")]:
+            assert f"\n{old}\n" in text
+            text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        sc = replace(parse_scenario_text(text).scenario, record_shifts=True)
+        tracemalloc.start()
+        try:
+            trace = run(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert trace.shift_record.values.shape[0] < 100
+        assert trace.shifts.shape == (4000, 1000)
 
 
 class TestScenarioValidation:

@@ -2,6 +2,8 @@
 
 import io
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import build_scenario
 from reflexgrid.agents import Band, RuleKind
 from reflexgrid.engine import compute_metrics, run
-from reflexgrid.engine import Trace
+from reflexgrid.engine import ShiftRecord, Trace
 from reflexgrid.output import (
     _BLOCK_ROWS,
     _chart_points,
@@ -22,6 +24,9 @@ from reflexgrid.output import (
     trace_to_svg,
     write_trace_csv,
 )
+from reflexgrid.scenariofile import load_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,31 @@ def test_csv_with_shift_columns(tmp_path, trace):
     assert header.startswith("t,v_source,v_load,i_total,n_flex_on,shift_0,")
     loaded = read_trace_csv(path)
     assert np.array_equal(loaded.shifts, trace.shifts)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_shipped_shift_record_round_trips(tmp_path, name):
+    scenario = load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario
+    trace = run(replace(scenario, record_shifts=True))
+    record = trace.shift_record
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=True)
+    loaded = read_trace_csv(path).shift_record
+    # the file has no cohorts, so the reader keeps one per agent
+    assert np.array_equal(loaded.steps, record.steps)
+    assert np.array_equal(loaded.values, record.values[:, record.cohort])
+    assert np.array_equal(loaded.cohort, np.arange(scenario.n_agents))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 300])
+def test_shift_record_from_matrix_gives_back_its_rows(horizon):
+    rng = np.random.default_rng(horizon)
+    rows = rng.integers(-2, 3, (4, 3)).astype(np.int32)
+    matrix = rows[np.cumsum(rng.random(horizon) < 0.1) % 4]
+    record = ShiftRecord.from_matrix(matrix)
+    assert np.array_equal(record.rows(0, horizon), matrix)
+    assert np.array_equal(record.rows(horizon // 2, horizon), matrix[horizon // 2 :])
+    assert len(record.steps) == 1 + np.count_nonzero((matrix[1:] != matrix[:-1]).any(axis=1))
 
 
 def test_csv_requires_recorded_shifts(tmp_path):
@@ -130,7 +160,8 @@ def synthetic_trace(horizon, floats, width, pattern, seed, n_flex_pool=None):
         n_flex = rng.integers(-(2**62), 2**62, horizon)
     else:
         n_flex = np.array(n_flex_pool, dtype=np.int64)[rng.integers(0, len(n_flex_pool), horizon)]
-    return Trace(column(), column(), column(), n_flex, shifts)
+    record = None if shifts is None else ShiftRecord.from_matrix(shifts)
+    return Trace(column(), column(), column(), n_flex, record)
 
 
 @settings(max_examples=40, deadline=None)
