@@ -9,6 +9,7 @@ lets it rise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,19 +36,20 @@ class CircuitConfig:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        if not self.r_source > 0:
-            raise ValueError(f"r_source must be positive, got {self.r_source}")
+        if not 0 < self.r_source < math.inf:
+            raise ValueError(f"r_source must be finite and positive, got {self.r_source}")
         if len(self.branches) < 1:
             raise ValueError("at least one branch is required")
         object.__setattr__(self, "branches", tuple(self.branches))
         # planner and prediction consult this every control step; branches
-        # are frozen, so one comparison at construction suffices
+        # are frozen, so one count at construction suffices, and a shared
+        # branch compares by identity
         first = self.branches[0]
-        object.__setattr__(self, "_homogeneous", all(b == first for b in self.branches))
+        object.__setattr__(self, "_homogeneous", self.branches.count(first) == len(self.branches))
 
     @staticmethod
     def homogeneous(n: int, r_source: float, r_base: float, r_flex: float) -> "CircuitConfig":
-        return CircuitConfig(r_source, tuple(Branch(r_base, r_flex) for _ in range(n)))
+        return CircuitConfig(r_source, (Branch(r_base, r_flex),) * n)
 
     @property
     def n_branches(self) -> int:

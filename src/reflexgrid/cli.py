@@ -83,6 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unreadable(kind: str, path: str, exc: OSError | UnicodeDecodeError) -> int:
+    """Print the error line for a ``kind`` file that cannot be read as text."""
+    if isinstance(exc, FileNotFoundError):
+        message = f"{kind} file not found: {path}"
+    elif isinstance(exc, UnicodeDecodeError):
+        message = f"{kind} file {path} is not UTF-8: {exc.reason} at byte {exc.start}"
+    else:  # a directory, or a file that may not be read
+        message = f"cannot read {kind} file {path}: {exc.strerror}"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def _load_checked(args):
     """Load ``args.scenario`` and report its awareness violations.
 
@@ -90,16 +102,8 @@ def _load_checked(args):
     """
     try:
         bundle = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return None, EXIT_PARSE
-    except OSError as exc:  # a directory, or a file that may not be read
-        print(f"error: cannot read scenario file {args.scenario}: {exc.strerror}", file=sys.stderr)
-        return None, EXIT_PARSE
-    except UnicodeDecodeError as exc:
-        print(f"error: scenario file {args.scenario} is not UTF-8: {exc.reason} at byte {exc.start}",
-              file=sys.stderr)
-        return None, EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, _unreadable("scenario", args.scenario, exc)
     except ScenarioFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
@@ -190,13 +194,9 @@ def _cmd_metrics(args) -> int:
         band = Band(args.v_low, args.v_high)
         window = tuple(args.window) if args.window else (0, trace.horizon)
         metrics = compute_metrics(trace, band, window)
-    except FileNotFoundError:
-        print(f"error: trace file not found: {args.csv}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:  # a directory, or a file that may not be read
-        print(f"error: cannot read trace file {args.csv}: {exc.strerror}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:  # a malformed trace, or one that is not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable("trace", args.csv, exc)
+    except ValueError as exc:  # a malformed trace
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     sys.stdout.write(metrics_summary(metrics, band, window))

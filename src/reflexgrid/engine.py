@@ -158,6 +158,10 @@ class ControllerConfig:
     control_interval: int = 1
 
     def __post_init__(self):
+        # NaN, an infinity or a non-positive target is one the planner
+        # cannot reach, and chasing it leaves every step outside the band
+        if not 0 < self.v_nominal < math.inf:
+            raise ValueError(f"v_nominal must be finite and positive, got {self.v_nominal}")
         if self.control_interval < 1:
             raise ValueError(f"control_interval must be positive, got {self.control_interval}")
 
@@ -182,8 +186,10 @@ class Scenario:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.sensing_delay < 1:
             raise ValueError(f"sensing_delay must be at least 1, got {self.sensing_delay}")
-        if self.v_source_base < 0:
-            raise ValueError(f"v_source_base must be non-negative, got {self.v_source_base}")
+        if not 0 <= self.v_source_base < math.inf:
+            raise ValueError(
+                f"v_source_base must be finite and non-negative, got {self.v_source_base}"
+            )
         if self.disturbance.t_end > self.horizon:
             raise ValueError("disturbance must end within the horizon")
         # the circuit needs a non-negative source on every step, and the

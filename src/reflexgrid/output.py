@@ -33,6 +33,7 @@ scalar expressions would, and formats them with one ``%``.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterator
 
@@ -139,7 +140,8 @@ def read_trace_csv(path: str | Path) -> Trace:
     """Parse a trace CSV back into arrays and, when it has shift columns, a
     ``ShiftRecord`` of one cohort per agent; raises ValueError on bad schema."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        # decoded in one piece, so a decode error gives its offset in the file
+        reader = csv.reader(io.StringIO(fh.read(), newline=""))
         try:
             header = next(reader)
         except StopIteration:

@@ -235,6 +235,18 @@ class TestUnreadableFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_non_utf8_trace_names_its_offset_in_the_file(self, tmp_path, capsys):
+        # past the text decoder's first chunk, so a chunk offset would differ
+        head = b"t,v_source,v_load,i_total,n_flex_on\n" + b"".join(
+            b"%d,10.0,9.0,1.0,0\n" % t for t in range(2000)
+        )
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(head + b"2000,\xe9,1,1,1\n")
+        assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: trace file {path} is not UTF-8: "
+                       f"invalid continuation byte at byte {len(head) + 5}\n")
+
     @pytest.mark.parametrize(
         "header, row",
         [("", "99999999999999999999"), (",shift_0", "0,99999999999")],
@@ -261,9 +273,16 @@ INVALID_B_EDITS = [
     ("horizon = 8000", "horizon = 99999999999999999999"),
     ("delta_v = 0.3", "delta_v = nan"),  # NaN voltages would compare as in band
     ("delta_v = 0.3", "delta_v = 10.5"),  # a negative source
+    ("r_source = 0.08", "r_source = inf"),
 ]
-# a sag to 0 V leaves the planner no positive bus voltage to act on
-INVALID_C_EDITS = [("delta_v = 0.3", "delta_v = 10.0")]
+INVALID_C_EDITS = [
+    # a sag to 0 V leaves the planner no positive bus voltage to act on
+    ("delta_v = 0.3", "delta_v = 10.0"),
+    # a target the planner cannot reach would leave every step outside the band
+    ("control_interval = 1", "control_interval = 1\nv_nominal = nan"),
+    ("control_interval = 1", "control_interval = 1\nv_nominal = inf"),
+    ("control_interval = 1", "control_interval = 1\nv_nominal = -5"),
+]
 
 
 class TestInvalidScenarios:
@@ -294,7 +313,7 @@ class TestInvalidScenarios:
     @pytest.fixture
     def no_circuit(self, monkeypatch):
         """Make building the circuit an error: a fleet must be bounded before
-        one ``Branch`` per agent is made."""
+        its circuit, and then its agents, are built."""
 
         def homogeneous(*args, **kwargs):
             raise AssertionError("CircuitConfig.homogeneous called")

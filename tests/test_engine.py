@@ -900,6 +900,20 @@ class TestScenarioValidation:
         # an empty sag applies no voltage
         build_scenario(RuleKind.COMMANDED, controller=True, t_start=5, t_end=5, delta_v=12.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0, 0.0])
+    def test_controller_target_must_be_finite_and_positive(self, value):
+        sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)
+        with pytest.raises(ValueError, match="v_nominal must be finite and positive"):
+            replace(sc.controller, v_nominal=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_source_must_be_finite(self, value):
+        sc = build_scenario(n=3, horizon=200)
+        with pytest.raises(ValueError, match="v_source_base must be finite"):
+            replace(sc, v_source_base=value)
+        with pytest.raises(ValueError, match="r_source must be finite"):
+            replace(sc.circuit, r_source=value)
+
     def test_controller_needs_identical_branches(self):
         sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)
         mixed = CircuitConfig(sc.circuit.r_source, sc.circuit.branches[:-1] + (Branch(100.0, 60.0),))

@@ -1,11 +1,13 @@
 """Strict scenario-file parsing."""
 
+import dataclasses
+import re
 import textwrap
 
 import pytest
 
-from reflexgrid.agents import RuleKind
-from reflexgrid.scenariofile import ScenarioFileError, parse_scenario_text
+from reflexgrid.agents import AgentConfig, RuleKind
+from reflexgrid.scenariofile import _AGENT_FIELDS, ScenarioFileError, parse_scenario_text
 
 MINIMAL = """\
 [circuit]
@@ -164,6 +166,51 @@ def test_per_agent_overrides():
     assert sc.agents[3].phase == 7
     assert (sc.agents[4].v_low, sc.agents[4].v_high) == (1.0, 2.0)
     assert sc.agents[2].rule is RuleKind.REACTIVE
+
+
+# each AgentConfig field a file may set: its text, and the value it reaches
+AGENT_FIELD_VALUES = {
+    "period": ("20", 20),
+    "on_steps": ("3", 3),
+    "phase": ("7", 7),
+    "rule": ("passive", RuleKind.PASSIVE),
+    "p": ("0.25", 0.25),
+    "p_latch": ("true", True),
+    "max_shift": ("4", 4),
+    "v_low": ("1.0", 1.0),
+    "v_high": ("20.0", 20.0),
+}
+
+
+def test_agent_fields_are_the_agent_config_fields():
+    fields = {f.name for f in dataclasses.fields(AgentConfig)} - {"agent_id"}
+    assert set(_AGENT_FIELDS) == fields == set(AGENT_FIELD_VALUES)
+
+
+@pytest.mark.parametrize("key", AGENT_FIELD_VALUES)
+def test_agent_field_override_reaches_one_agent(key):
+    text, value = AGENT_FIELD_VALUES[key]
+    base = parse_scenario_text(MINIMAL).scenario.agents
+    agents = parse_scenario_text(MINIMAL + f"\n[agent.3]\n{key} = {text}\n").scenario.agents
+    assert getattr(agents[3], key) == value != getattr(base[3], key)
+    assert agents[:3] + agents[4:] == base[:3] + base[4:]
+
+
+@pytest.mark.parametrize("key", [key for key in AGENT_FIELD_VALUES if key != "phase"])
+def test_agent_field_in_fleet_reaches_every_agent(key):
+    text, value = AGENT_FIELD_VALUES[key]
+    line = f"{key} = {text}"
+    if re.search(rf"^{key} = ", MINIMAL, re.M):
+        fleet = re.sub(rf"^{key} = .*$", line, MINIMAL, flags=re.M)
+    else:
+        fleet = MINIMAL.replace("rule = reactive", f"rule = reactive\n{line}")
+    agents = parse_scenario_text(fleet).scenario.agents
+    assert all(getattr(a, key) == value for a in agents)
+
+
+def test_phase_is_set_per_agent_only():
+    with pytest.raises(ScenarioFileError, match="unknown key 'phase' in section \\[agents\\]"):
+        parse_scenario_text(MINIMAL.replace("rule = reactive", "rule = reactive\nphase = 1"))
 
 
 def test_override_for_missing_agent_rejected():
