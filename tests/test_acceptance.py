@@ -252,7 +252,7 @@ def test_acceptance_9_performance_floor():
     circuit = CircuitConfig.homogeneous(n, 0.08, 1000.0, 500.0)
     v_nominal, band = calibrate_nominal(circuit, 100, 50, 10.0)
     agents = tuple(
-        AgentConfig(i, 100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high,
+        AgentConfig(100, 50, i % 100, RuleKind.REACTIVE, band.v_low, band.v_high,
                     max_shift=1000)
         for i in range(n)
     )

@@ -20,8 +20,8 @@ from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 
 
 def cfg(rule=RuleKind.REACTIVE, period=10, on_steps=5, phase=0, v_low=9.0, v_high=9.2,
-        p=1.0, max_shift=None, p_latch=False, agent_id=0):
-    return AgentConfig(agent_id, period, on_steps, phase, rule, v_low, v_high,
+        p=1.0, max_shift=None, p_latch=False):
+    return AgentConfig(period, on_steps, phase, rule, v_low, v_high,
                        p=p, max_shift=max_shift, p_latch=p_latch)
 
 

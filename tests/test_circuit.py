@@ -1,5 +1,7 @@
 """Circuit solver against hand computations and an independent nodal oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,12 @@ class TestValidation:
             CircuitConfig(0.0, (Branch(1.0, 1.0),))
         with pytest.raises(ValueError):
             CircuitConfig(1.0, ())
+
+    @pytest.mark.parametrize("r_base, r_flex", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                                (1.0, math.nan)])
+    def test_non_finite_resistances_rejected(self, r_base, r_flex):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            Branch(r_base, r_flex)
 
     def test_dimension_mismatch(self):
         config = CircuitConfig.homogeneous(3, 1.0, 1.0, 1.0)

@@ -274,6 +274,12 @@ INVALID_B_EDITS = [
     ("delta_v = 0.3", "delta_v = nan"),  # NaN voltages would compare as in band
     ("delta_v = 0.3", "delta_v = 10.5"),  # a negative source
     ("r_source = 0.08", "r_source = inf"),
+    # an open branch would draw no current and leave the fleet nothing to move
+    ("r_flex = 50.0", "r_flex = inf"),
+    ("r_base = 100.0", "r_base = inf"),
+    # a source voltage that calibration cannot use
+    ("v_base = 10.0", "v_base = nan"),
+    ("v_base = 10.0", "v_base = inf"),
 ]
 INVALID_C_EDITS = [
     # a sag to 0 V leaves the planner no positive bus voltage to act on

@@ -98,6 +98,19 @@ def test_probabilistic_with_p():
     assert all(a.p == 0.25 for a in bundle.scenario.agents)
 
 
+def test_missing_p_names_the_lowest_agent_without_it():
+    text = MINIMAL.replace("rule = reactive", "rule = probabilistic") + "\n[agent.0]\np = 0.5\n"
+    with pytest.raises(ScenarioFileError, match="^agent 1 has a probabilistic rule"):
+        parse_scenario_text(text)
+
+
+def test_p_in_every_agent_block_is_enough():
+    blocks = "".join(f"\n[agent.{i}]\np = 0.{i}\n" for i in range(10))
+    text = MINIMAL.replace("rule = reactive", "rule = probabilistic") + blocks
+    agents = parse_scenario_text(text).scenario.agents
+    assert [a.p for a in agents] == [i / 10 for i in range(10)]
+
+
 def test_disturbance_and_band_sections():
     text = MINIMAL + textwrap.dedent(
         """
@@ -143,7 +156,8 @@ def test_controller_section():
     ctrl = bundle.scenario.controller
     assert ctrl is not None
     assert ctrl.control_interval == 5
-    assert ctrl.band == bundle.scenario.band
+    # the planner steers toward a target inside the scenario's band
+    assert bundle.scenario.band.contains(ctrl.v_nominal)
     # wiring gains the controller atom and channels
     assert bundle.awareness.controller_atom is not None
     assert all(bundle.awareness.controller_channel)
@@ -183,7 +197,7 @@ AGENT_FIELD_VALUES = {
 
 
 def test_agent_fields_are_the_agent_config_fields():
-    fields = {f.name for f in dataclasses.fields(AgentConfig)} - {"agent_id"}
+    fields = {f.name for f in dataclasses.fields(AgentConfig)}
     assert set(_AGENT_FIELDS) == fields == set(AGENT_FIELD_VALUES)
 
 
@@ -213,6 +227,31 @@ def test_phase_is_set_per_agent_only():
         parse_scenario_text(MINIMAL.replace("rule = reactive", "rule = reactive\nphase = 1"))
 
 
+def test_fleet_agents_share_one_config_per_phase(monkeypatch):
+    text = MINIMAL.replace("count = 10", "count = 1000").replace("period = 10", "period = 100")
+    text += "\n[agent.5]\nrule = passive\n\n[agent.905]\np_latch = true\n"
+    post_init = AgentConfig.__post_init__
+    calls = []
+
+    def counting_post_init(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AgentConfig, "__post_init__", counting_post_init)
+    sc = parse_scenario_text(text).scenario
+    monkeypatch.undo()
+    # one config per fleet phase plus one per override block, not one per agent
+    assert len(calls) <= 102
+    assert sc.agents[105] is sc.agents[205] is sc.agents[805]
+    assert sc.agents[5] is not sc.agents[105] and sc.agents[905] is not sc.agents[105]
+    fleet = {"period": 100, "on_steps": 5, "rule": RuleKind.REACTIVE,
+             "v_low": sc.band.v_low, "v_high": sc.band.v_high}
+    overrides = {5: {"rule": RuleKind.PASSIVE}, 905: {"p_latch": True}}
+    for i in (0, 5, 99, 100, 105, 905, 999):
+        expected = AgentConfig(**{"phase": i % 100, **fleet, **overrides.get(i, {})})
+        assert sc.agents[i] == expected
+
+
 def test_override_for_missing_agent_rejected():
     with pytest.raises(ScenarioFileError):
         parse_scenario_text(MINIMAL + "\n[agent.10]\nphase = 0\n")
@@ -239,6 +278,12 @@ def test_scenario_invariant_errors_surface():
     bad = MINIMAL.replace("on_steps = 5", "on_steps = 10")
     with pytest.raises(ScenarioFileError):
         parse_scenario_text(bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+def test_source_voltage_is_named_before_calibration(value):
+    with pytest.raises(ScenarioFileError, match="^v_source_base must be finite and non-negative"):
+        parse_scenario_text(MINIMAL.replace("v_base = 10.0", f"v_base = {value}"))
 
 
 def test_reference_files_load():
