@@ -33,6 +33,19 @@ a run to nxt + on_steps, and every opening moves nxt on by a period.  This
 is the ``(t - phase - shift) % period < on_steps`` rule of ``agent_step``
 with no per-step modulo.
 
+Every int64 the cycle machine computes stays below horizon + 3 * period.
+After step t a cohort's next window opens at nxt <= t + period + 1 (a
+move shifts it by one step, and a window that opens moves it on by a
+period), and its run ends at run_end < t + period.  A free-run block
+opened at t computes nxt + period for every cohort and ends a run
+started by that window at most on_steps later, below t + 3 * period; a
+patch's ``_move_in_block`` returns values inside the same bounds.  A
+shift moves at most one step per step, so its magnitude stays below
+horizon + 1, and the limit-cycle watch's room to the clip, max_shift
+minus a shift, below horizon + max_shift + 1.  ``Scenario`` therefore
+requires horizon + 3 * max(period) + max(max_shift) < 2**63, with the
+maxima taken over the fleet's distinct ``AgentConfig`` objects.
+
 A step is free when it moves no shift, issues no instruction and touches
 no latch state: it is quiet, or it triggers but no agent reacts (no draw
 hits).  On a free step nothing but time reaches the cycle machine, so
@@ -116,7 +129,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .agents import AgentConfig, Band, RuleKind, controller_plan
 from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
@@ -208,6 +220,16 @@ class Scenario:
             )
         if self.controller is not None and not self.circuit.is_homogeneous:
             raise ValueError("a controller requires identical circuit branches")
+        # the bound of the module docstring, over the fleet's distinct configs
+        distinct = {id(a): a for a in self.agents}.values()
+        reach = 3 * max((a.period for a in distinct), default=0) + max(
+            (a.max_shift for a in distinct), default=0
+        )
+        if self.horizon + reach >= 2**63:
+            raise ValueError(
+                f"horizon + 3 * max(period) + max(max_shift) is {self.horizon + reach}; "
+                "it must stay below 2**63"
+            )
         entries = self.horizon * len(self.agents)
         if self.record_shifts and entries > SHIFT_RECORDING_MAX_ENTRIES:
             raise ValueError(
@@ -298,7 +320,13 @@ _CHUNK_STEPS = 1024
 
 @lru_cache(maxsize=4)
 def _stream_chunk(seed: int, first: int, n: int) -> np.ndarray:
-    """Stream entries [4 * first, 4 * (first + _CHUNK_STEPS - 1) + n), read-only."""
+    """Stream entries [4 * first, 4 * (first + _CHUNK_STEPS - 1) + n), read-only.
+
+    ``numpy.random`` is imported here, so a run that makes no draws never
+    loads it (numpy 2 does not import it with ``numpy``).
+    """
+    from numpy.random import Generator, Philox
+
     chunk = Generator(Philox(key=seed, counter=[first, 0, 0, 0])).random(4 * (_CHUNK_STEPS - 1) + n)
     chunk.flags.writeable = False
     return chunk

@@ -20,11 +20,22 @@ order and formatted once, so the (horizon, N) shift matrix is never
 built.  The shift text still holds horizon x N numbers; that, not the
 run's memory, is what ``engine.SHIFT_RECORDING_MAX_ENTRIES`` bounds.
 The step parts, the record texts and the shift texts are spliced into
-one list that one ``join`` turns into the block's text.  The bytes equal
-formatting each value with ``repr(float(x))`` or ``str(int(x))``.
-``write_trace_csv`` writes the blocks as they are made, so it holds at
-most one block's text and a long trace never exists as one string;
-``trace_to_csv`` joins them.
+one list of parts per block; a part is shared, not copied, wherever rows
+repeat it.  ``trace_to_csv`` gathers every block's parts into one list and
+makes one ``join``, so it holds the text once.  ``write_trace_csv`` joins
+and writes one block at a time, so it holds at most one block's text and
+a long trace never exists as one string.  The bytes equal formatting each
+value with ``repr(float(x))`` or ``str(int(x))``.
+
+The reader parses every data row with one ``np.loadtxt`` into a structured
+array: the five base columns, then the shift columns as one int64
+subarray.  Values that parse are checked as arrays: the steps against
+``arange`` and the shifts against int32's range, before the changed rows
+are cast to int32 for the ``ShiftRecord``.  So a read holds the parsed
+table and the base columns copied out of it, not one object per field.
+Row n is the n-th data row; blank lines are skipped, as ``np.loadtxt``
+skips them.  When a row does not parse, the rows are bisected with the
+same parse to name the first that fails.
 
 The SVG chart computes its points as float64 arrays, in the order the
 scalar expressions would, and formats them with one ``%``.
@@ -32,8 +43,7 @@ scalar expressions would, and formats them with one ``%``.
 
 from __future__ import annotations
 
-import csv
-import io
+import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -67,8 +77,8 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.searchsorted(distinct, values), len(distinct)
 
 
-def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
-    """The header line, then the text of each block of up to ``_BLOCK_ROWS`` rows.
+def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[list[str]]:
+    """The header line, then the parts of each block of up to ``_BLOCK_ROWS`` rows.
 
     ``repr`` of a ``tolist`` float and ``str`` of a ``tolist`` int are the
     bytes ``repr(float(x))`` and ``str(int(x))`` give for the numpy scalar.
@@ -79,7 +89,7 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
         if shifts is None:
             raise ValueError("trace has no recorded shifts")
         header += [f"shift_{i}" for i in range(len(shifts.cohort))]
-    yield ",".join(header) + "\n"
+    yield [",".join(header) + "\n"]
     # a row is its step's thousands and last three digits, its record's tail
     # and, with shifts, its shift text
     width, end = (3, "\n") if shifts is None else (4, ",")
@@ -119,12 +129,15 @@ def _csv_blocks(trace: Trace, include_shifts: bool) -> Iterator[str]:
             expanded = shifts.values[first_change : int(change[-1]) + 1][:, shifts.cohort]
             texts = [",".join(map(str, row)) + "\n" for row in expanded.tolist()]
             parts[3::width] = np.array(texts, dtype=object)[change - first_change].tolist()
-        yield "".join(parts)
+        yield parts
 
 
 def trace_to_csv(trace: Trace, include_shifts: bool = False) -> str:
     """Render the trace as CSV text (LF line endings)."""
-    return "".join(_csv_blocks(trace, include_shifts))
+    parts: list[str] = []
+    for block in _csv_blocks(trace, include_shifts):
+        parts += block
+    return "".join(parts)
 
 
 def write_trace_csv(trace: Trace, path: str | Path, include_shifts: bool = False) -> None:
@@ -132,60 +145,121 @@ def write_trace_csv(trace: Trace, path: str | Path, include_shifts: bool = False
     blocks = _csv_blocks(trace, include_shifts)
     header = next(blocks)  # a missing-shifts error leaves the file untouched
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        fh.writelines(blocks)
+        fh.writelines(header)
+        for block in blocks:
+            fh.write("".join(block))
+
+
+def _parse_rows(source: str | Path | list[str], dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+    """The rows of ``source`` (a path or a list of lines) as a ``dtype`` array."""
+    with warnings.catch_warnings():
+        # no data rows is the caller's error, not a warning
+        warnings.simplefilter("ignore", UserWarning)
+        # numpy < 2 parses "1.0" as an integer with a warning; reject it as numpy 2 does
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
+                          encoding="utf-8", ndmin=1)
+
+
+def _value_fault(table: np.ndarray) -> str | None:
+    """The row-numbered fault of the first parsed row whose values are bad:
+    a step out of order or a shift outside int32; None when there is none."""
+    steps = table["t"]
+    bad = steps != np.arange(len(table))
+    if "shifts" in table.dtype.names:
+        shifts = table["shifts"]
+        bad |= (shifts.min(axis=1) < -(2**31)) | (shifts.max(axis=1) >= 2**31)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    if steps[row] != row:
+        return f"row {row + 1}: step index {steps[row]} out of order"
+    values = shifts[row]
+    value = values[(values < -(2**31)) | (values >= 2**31)][0]
+    return f"row {row + 1}: shift {value} out of range for int32"
+
+
+def _first_fault(path: str | Path, header: list[str], dtype: np.dtype) -> str:
+    """The row-numbered fault of the first bad data row of a file that does not parse.
+
+    The rows are bisected with the bulk parse itself, so the row found is
+    the first one it rejects.  The rows before it parse, and one of them
+    may hold bad values, which is then the first fault.
+    """
+    # universal newlines and no blank lines, as the bulk parse reads the file
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().split("\n")[1:] if line]
+    lo, hi = 0, len(lines)  # rows before lo parse; one in [lo, hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(lines[lo:mid], dtype)
+            lo = mid
+        except (ValueError, DeprecationWarning):
+            hi = mid
+    earlier = _value_fault(_parse_rows(lines[:lo], dtype))
+    return earlier or f"row {lo + 1}: {_row_fault(lines[lo], header)}"
+
+
+def _row_fault(line: str, header: list[str]) -> str:
+    """Why the bulk parse rejects ``line``, told field by field."""
+    fields = line.split(",")
+    if len(fields) != len(header):
+        return f"expected {len(header)} fields, got {len(fields)}"
+    for name, text in zip(header, fields):
+        if name in _BASE_COLUMNS[1:4]:
+            try:
+                float(text)
+            except ValueError:
+                return f"{name} {text!r} is not a number"
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            return f"{name} {text!r} is not an integer"
+        name, bits = ("shift", 32) if name.startswith("shift_") else (name, 64)
+        if not -(2 ** (bits - 1)) <= value < 2 ** (bits - 1):
+            return f"{name} {value} out of range for int{bits}"
+    return f"cannot parse {line!r}"
 
 
 def read_trace_csv(path: str | Path) -> Trace:
     """Parse a trace CSV back into arrays and, when it has shift columns, a
     ``ShiftRecord`` of one cohort per agent; raises ValueError on bad schema."""
     with open(path, newline="", encoding="utf-8") as fh:
-        # decoded in one piece, so a decode error gives its offset in the file
-        reader = csv.reader(io.StringIO(fh.read(), newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty CSV file")
-        if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
-            raise ValueError(
-                f"bad CSV header: expected columns {','.join(_BASE_COLUMNS)}, got {','.join(header)}"
-            )
-        shift_cols = header[len(_BASE_COLUMNS) :]
-        for i, name in enumerate(shift_cols):
-            if name != f"shift_{i}":
-                raise ValueError(f"bad shift column name {name!r}")
-        rows = list(reader)
-    if not rows:
+        line = fh.readline()
+    if not line:
+        raise ValueError("empty CSV file")
+    header = line.rstrip("\r\n").split(",")
+    if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
+        raise ValueError(
+            f"bad CSV header: expected columns {','.join(_BASE_COLUMNS)}, got {','.join(header)}"
+        )
+    for i, name in enumerate(header[len(_BASE_COLUMNS) :]):
+        if name != f"shift_{i}":
+            raise ValueError(f"bad shift column name {name!r}")
+    # the five base columns, then the shift columns as one int64 subarray
+    fields = [(name, np.float64 if name in _BASE_COLUMNS[1:4] else np.int64) for name in _BASE_COLUMNS]
+    if len(header) > len(_BASE_COLUMNS):
+        fields.append(("shifts", np.int64, (len(header) - len(_BASE_COLUMNS),)))
+    dtype = np.dtype(fields)
+    try:
+        table = _parse_rows(path, dtype, skiprows=1)
+    except UnicodeDecodeError:
+        # decoded again in one piece, so the error gives its offset in the file
+        Path(path).read_bytes().decode("utf-8")
+        raise
+    except (ValueError, DeprecationWarning):
+        raise ValueError(_first_fault(path, header, dtype)) from None
+    if not len(table):
         raise ValueError("CSV contains no data rows")
-    width = len(header)
-    v_source = np.empty(len(rows))
-    v_load = np.empty(len(rows))
-    i_total = np.empty(len(rows))
-    n_flex = np.empty(len(rows), dtype=np.int64)
-    shifts = np.empty((len(rows), len(shift_cols)), dtype=np.int32) if shift_cols else None
-    for t, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {t + 1}: expected {width} fields, got {len(row)}")
-        try:
-            if int(row[0]) != t:
-                raise ValueError(f"step index {row[0]} out of order")
-            v_source[t] = float(row[1])
-            v_load[t] = float(row[2])
-            i_total[t] = float(row[3])
-            n = int(row[4])
-            if not -(2**63) <= n < 2**63:
-                raise ValueError(f"n_flex_on {n} out of range for int64")
-            n_flex[t] = n
-            if shifts is not None:
-                values = [int(x) for x in row[5:]]
-                if min(values) < -(2**31) or max(values) >= 2**31:
-                    bad = next(v for v in values if not -(2**31) <= v < 2**31)
-                    raise ValueError(f"shift {bad} out of range for int32")
-                shifts[t] = values
-        except ValueError as exc:
-            raise ValueError(f"row {t + 1}: {exc}")
-    record = None if shifts is None else ShiftRecord.from_matrix(shifts)
-    return Trace(v_source, v_load, i_total, n_flex, record)
+    fault = _value_fault(table)
+    if fault:
+        raise ValueError(fault)
+    # copies, so that the trace does not keep the parsed table alive
+    columns = [table[name].copy() for name in _BASE_COLUMNS[1:]]
+    record = ShiftRecord.from_matrix(table["shifts"]) if "shifts" in dtype.names else None
+    return Trace(*columns, record)
 
 
 def metrics_summary(metrics: Metrics, band: Band, window: tuple[int, int]) -> str:

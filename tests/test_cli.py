@@ -268,6 +268,9 @@ INVALID_B_EDITS = [
     ("max_shift = 1000", "max_shift = 99999999999999999999"),
     ("period = 100", "period = 99999999999999999999"),
     ("period = 100", "period = 0"),
+    # periods whose windows would step past int64 while the fleet runs
+    ("period = 100", "period = 9223372036854775807"),
+    ("sensing_delay = 3", "sensing_delay = 3\n[agent.3]\nperiod = 9223372036854775806"),
     ("on_steps = 50", "on_steps = 0"),
     ("on_steps = 50", "on_steps = 100"),
     ("horizon = 8000", "horizon = 99999999999999999999"),

@@ -2,6 +2,9 @@
 the control invariants behind the herding story, and metrics."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 from numpy.random import Generator, Philox
 
+import reflexgrid
 from conftest import build_scenario, run_reference
 from reflexgrid.agents import AgentConfig, Band, RuleKind, controller_plan
 from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
@@ -73,6 +77,20 @@ class TestDeterminism:
         a = run(build_scenario(RuleKind.PROBABILISTIC, p=0.3, seed=1))
         b = run(build_scenario(RuleKind.PROBABILISTIC, p=0.3, seed=2))
         assert not traces_equal(a, b)
+
+    def test_draw_free_run_never_loads_the_rng(self):
+        # numpy 2 imports numpy.random only on use; numpy 1 imports it with
+        # numpy, and then there is nothing to save
+        code = (
+            "import sys; import numpy; before = 'numpy.random' in sys.modules; "
+            "from reflexgrid.engine import run; from reflexgrid.scenariofile import load_scenario; "
+            "run(load_scenario(sys.argv[1]).scenario); "
+            "assert before or 'numpy.random' not in sys.modules, 'numpy.random was loaded'"
+        )
+        src = os.path.dirname(os.path.dirname(reflexgrid.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code, str(SCENARIOS / "scenario_a.cfg")],
+                       env=env, check=True)
 
     def test_draw_stream_is_counter_based(self):
         a = uniform_draws(9, 100, 50)
@@ -873,7 +891,31 @@ class TestScenarioValidation:
         sc = build_scenario(n=3, horizon=200, t_start=0, t_end=0, record_shifts=False)
         with pytest.raises(ValueError, match="horizon"):
             replace(sc, horizon=2**63)
-        assert replace(sc, horizon=2**63 - 1).horizon == 2**63 - 1  # built, never run
+        # the largest horizon the joint bound admits with period 20 and max_shift 200
+        largest = 2**63 - 1 - 3 * 20 - 200
+        assert replace(sc, horizon=largest).horizon == largest  # built, never run
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            replace(sc, horizon=largest + 1)
+
+    @pytest.mark.parametrize("rule", [RuleKind.REACTIVE, RuleKind.PROBABILISTIC, RuleKind.COMMANDED])
+    def test_largest_period_the_bound_admits_runs_as_the_reference(self, rule):
+        sc = build_scenario(rule, n=6, horizon=200, p=0.5, t_start=40, t_end=120,
+                            controller=rule is RuleKind.COMMANDED)
+        big = (2**63 - 1 - sc.horizon - 200) // 3
+        # the longest run a period allows, a one-step run late in the cycle
+        # and a half-period duty cycle
+        schedules = [(big - 1, 0), (1, big - 2), (big // 2, big // 2)]
+        agents = list(sc.agents)
+        for i, (on_steps, phase) in enumerate(schedules):
+            agents[i] = replace(agents[i], period=big, on_steps=on_steps, phase=phase)
+        sc = replace(sc, agents=tuple(agents))
+        engine_trace = run(sc)
+        ref_trace = run_reference(sc)
+        assert traces_equal(engine_trace, ref_trace)
+        assert np.array_equal(engine_trace.shifts, ref_trace.shifts)
+        agents[0] = replace(agents[0], period=big + 1)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            replace(sc, agents=tuple(agents))
 
     def test_agent_count_must_match_circuit(self):
         sc = build_scenario(n=3, horizon=200)

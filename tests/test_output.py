@@ -1,6 +1,7 @@
 """CSV round-trips, summary rendering, and the SVG chart."""
 
 import io
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from reflexgrid.agents import Band, RuleKind
 from reflexgrid.engine import compute_metrics, run
 from reflexgrid.engine import ShiftRecord, Trace
 from reflexgrid.output import (
+    _BASE_COLUMNS,
     _BLOCK_ROWS,
     _chart_points,
     _ranks,
@@ -292,6 +294,138 @@ def test_out_of_order_step_names_its_row_once(tmp_path, trace):
     with pytest.raises(ValueError) as exc:
         read_trace_csv(path)
     assert str(exc.value) == "row 2: step index 5 out of order"
+
+
+def float_text_bits(values):
+    """The bits of each float after a trip through its shortest repr."""
+    return float_bits([float(repr(float(x))) for x in values])
+
+
+@pytest.mark.parametrize("width", [0, 3])
+def test_reader_round_trips_special_values(tmp_path, width):
+    trace = synthetic_trace(2 * _BLOCK_ROWS + 3, SPECIAL_FLOATS, width, "runs", width,
+                            n_flex_pool=INT64_EXTREMES)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=width > 0)
+    loaded = read_trace_csv(path)
+    for name in ("v_source", "v_load", "i_total"):
+        column = getattr(loaded, name)
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        # every NaN reads back as float("nan"), as its text is "nan"
+        assert float_bits(column) == float_text_bits(getattr(trace, name))
+    assert loaded.n_flex_on.dtype == np.int64
+    assert np.array_equal(loaded.n_flex_on, trace.n_flex_on)
+    if width:
+        assert np.array_equal(loaded.shifts, trace.shifts)
+        record = loaded.shift_record
+        assert record.values.dtype == np.int32
+        assert np.array_equal(record.steps, trace.shift_record.steps)
+
+
+def shift_csv(tmp_path, rows, bad_row=None, bad_value=None):
+    """A two-column shift CSV of ``rows`` rows at the int32 edges, one value
+    replaced by ``bad_value`` in row ``bad_row`` (counted from 1)."""
+    lines = ["t,v_source,v_load,i_total,n_flex_on,shift_0,shift_1"]
+    for t in range(rows):
+        shifts = [-(2**31), 2**31 - 1] if t % 2 else [2**31 - 1, -(2**31)]
+        if t + 1 == bad_row:
+            shifts[1] = bad_value
+        lines.append(f"{t},1.0,2.0,3.0,4,{shifts[0]},{shifts[1]}")
+    path = tmp_path / "shifts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_int32_shift_edges_read_back(tmp_path):
+    loaded = read_trace_csv(shift_csv(tmp_path, _BLOCK_ROWS + 1))
+    assert loaded.shift_record.values.dtype == np.int32
+    assert loaded.shifts[0].tolist() == [2**31 - 1, -(2**31)]
+    assert loaded.shifts[-1].tolist() == [2**31 - 1, -(2**31)]
+    assert len(loaded.shift_record.steps) == _BLOCK_ROWS + 1
+
+
+# numpy 1.24 wraps an integer cast to int32 where numpy 2 raises, so the
+# shifts are range-checked before the cast
+@pytest.mark.parametrize("value", [2**31, -(2**31) - 1, 2**63 - 1, 2**63, 99999999999999999999])
+@pytest.mark.parametrize("row", [1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS])
+def test_out_of_range_shift_names_its_row(tmp_path, value, row):
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(shift_csv(tmp_path, 2 * _BLOCK_ROWS, row, value))
+    assert str(exc.value) == f"row {row}: shift {value} out of range for int32"
+
+
+# each kind of bad row at step t: the line that replaces it, and the fault
+# that follows "row n: "
+MALFORMED_ROWS = {
+    "too_few_fields": lambda t: (f"{t},1.0,2.0,3.0,4,0", "expected 7 fields, got 6"),
+    "too_many_fields": lambda t: (f"{t},1.0,2.0,3.0,4,0,0,0", "expected 7 fields, got 8"),
+    "not_a_number": lambda t: (f"{t},1.0,abc,3.0,4,0,0", "v_load 'abc' is not a number"),
+    "empty_field": lambda t: (f"{t},1.0,2.0,,4,0,0", "i_total '' is not a number"),
+    "float_step": lambda t: (f"{t}.0,1.0,2.0,3.0,4,0,0", f"t '{t}.0' is not an integer"),
+    "float_shift": lambda t: (f"{t},1.0,2.0,3.0,4,0,1.5", "shift_1 '1.5' is not an integer"),
+    "wide_n_flex_on": lambda t: (f"{t},1.0,2.0,3.0,{2**63},0,0",
+                                 f"n_flex_on {2**63} out of range for int64"),
+    "step_out_of_order": lambda t: (f"{t + 1},1.0,2.0,3.0,4,0,0",
+                                    f"step index {t + 1} out of order"),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_ROWS))
+@pytest.mark.parametrize("row", [1, 2, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+def test_malformed_row_is_named(tmp_path, kind, row):
+    trace = synthetic_trace(2 * _BLOCK_ROWS + 3, [0.5], 2, "runs", row, n_flex_pool=[4])
+    lines = trace_to_csv(trace, include_shifts=True).splitlines()
+    lines[row], fault = MALFORMED_ROWS[kind](row - 1)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"row {row}: {fault}"
+
+
+def test_first_of_two_bad_rows_is_named(tmp_path, trace):
+    # an out-of-order step parses, and is named before a later row that does not
+    lines = trace_to_csv(trace).splitlines()
+    lines[3] = "7,1.0,2.0,3.0,0"
+    lines[200] = "199,abc,2.0,3.0,0"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == "row 3: step index 7 out of order"
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes that tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_csv_text_is_held_once():
+    # one block whose shift rows repeat: its parts are shared strings, so
+    # the text is the only large allocation; joining block texts would
+    # hold it twice
+    trace = synthetic_trace(_BLOCK_ROWS, [0.5, -0.0], 64, "runs", 0, n_flex_pool=[0, 7])
+    text, peak = traced_peak(lambda: trace_to_csv(trace, include_shifts=True))
+    assert len(text) > 2**21
+    assert peak < 1.25 * len(text) + 2**19
+
+
+def test_reader_holds_a_few_times_the_arrays_it_returns(tmp_path):
+    trace = synthetic_trace(20_000, SPECIAL_FLOATS, 16, "runs", 0)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=True)
+    loaded, peak = traced_peak(lambda: read_trace_csv(path))
+    # the base columns and the int32 shift matrix the record stands for
+    returned = sum(getattr(loaded, name).nbytes for name in _BASE_COLUMNS[1:]) + loaded.shifts.nbytes
+    # the parsed table holds 8 bytes per field and the base columns are copied
+    # out of it: about 2.4 times; one Python object per field is over 20 times
+    assert peak < 3 * returned + 2**16
 
 
 def test_summary_contains_all_metrics(trace):
