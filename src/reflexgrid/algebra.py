@@ -13,7 +13,9 @@ All values are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Container, Iterable, Iterator, Sequence, Union
 
 
@@ -28,7 +30,7 @@ class ExpressionError(ValueError):
 _ATOM_RE = re.compile(r"[A-Za-z][0-9]*")
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Atom:
     """One symbol: a single letter plus an optional numeric suffix.
 
@@ -38,6 +40,7 @@ class Atom:
 
     letter: str
     index: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.letter) != 1 or not self.letter.isalpha():
@@ -64,6 +67,22 @@ class Atom:
 
     def __repr__(self) -> str:
         return f"Atom({str(self)!r})"
+
+
+def indexed_atoms(letter: str, n: int) -> tuple[Atom, ...]:
+    """``Atom(letter, i)`` for every i in range(n), built in one pass.
+
+    The letter is checked once and every index of the range is valid, so
+    no atom runs ``__post_init__``: each slot is filled for all atoms by
+    one C-level ``map``, the hashes included.
+    """
+    Atom(letter)  # checks the letter
+    atoms = tuple(map(object.__new__, repeat(Atom, n)))
+    indices = range(n)
+    deque(map(Atom.letter.__set__, atoms, repeat(letter)), 0)
+    deque(map(Atom.index.__set__, atoms, indices), 0)
+    deque(map(Atom._hash.__set__, atoms, map(hash, zip(repeat(letter), indices))), 0)
+    return atoms
 
 
 def atom(text: str) -> Atom:

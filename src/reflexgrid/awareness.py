@@ -13,15 +13,28 @@ deciding whether a word is present costs a few lookups in the wiring itself.  So
 validation takes time linear in the words required and memory linear in the
 agents.  ``derive_structure`` still builds the full polynomial; it is the
 reference that the factored membership is tested against.
+
+Every word a rule requires of agent a ends in a, after a prefix that does
+not depend on a: T for a reactive agent, T c for a commanded one, and T
+then T p for every agent p for a probabilistic one.  So the validator
+builds the words of one prefix for the agents of a rule a batch at a
+time, with C-level ``map`` calls, and the only Python it runs per word is
+the one ``contains_word`` lookup.  Set-up likewise builds the N agent
+atoms in one pass and the factored structure with one ``dict``, so the
+only other Python that runs per agent is ``Atom.__hash__`` where an atom
+is keyed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_, not_
 from typing import Sequence
 
 from .agents import RuleKind
-from .algebra import Atom, Polynomial, Word, contains_word
+from .algebra import Atom, Polynomial, Word, contains_word, indexed_atoms
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,7 @@ def standard_declaration(
     knowledge a randomized-response design relies on.  ``controller`` adds
     the sensing central planner and its instruction channel to every agent.
     """
-    agent_atoms = tuple(Atom("a", i) for i in range(n_agents))
+    agent_atoms = indexed_atoms("a", n_agents)
     peers = frozenset(agent_atoms) if peer_awareness else frozenset()
     return AwarenessDecl(
         root=Atom("T"),
@@ -94,14 +107,20 @@ def standard_declaration(
     )
 
 
+# words the validator builds and looks up at a time, which bounds its
+# memory on a large fleet
+_BATCH = 4096
+
+
 class _FactoredStructure:
     """Membership in ``derive_structure(decl)`` without listing its words.
 
     Per agent atom it keeps whether the atom senses the root, the atoms it
-    holds images of, and whether it has a controller channel.  The image sets
-    are the declaration's own frozensets, not copies, unless several agents
-    share one atom: the structure then holds the union of their wirings, as
-    ``derive_structure`` does.
+    holds images of, and whether it has a controller channel, keyed in the
+    order the atoms first appear.  The image sets are the declaration's own
+    frozensets, not copies, unless several agents share one atom: the
+    structure then holds the union of their wirings, as ``derive_structure``
+    does, and only those agents are visited again.
     """
 
     __slots__ = ("root", "controller", "sensing_controller", "agents")
@@ -110,16 +129,22 @@ class _FactoredStructure:
         self.root = decl.root
         self.controller = decl.controller_atom
         self.sensing_controller = decl.controller_atom if decl.controller_senses_root else None
-        agents: dict[Atom, tuple[bool, frozenset[Atom], bool]] = {}
-        wiring = zip(decl.agent_atoms, decl.senses_root, decl.peer_images, decl.controller_channel)
-        for a, senses, images, channel in wiring:
-            prior = agents.get(a)
-            if prior is not None:
-                was_sensing, had_images, had_channel = prior
-                senses = senses or was_sensing
-                images = images if images is had_images else images | had_images
-                channel = channel or had_channel
-            agents[a] = (senses, images, channel)
+        atoms = decl.agent_atoms
+        wiring = tuple(zip(decl.senses_root, decl.peer_images, decl.controller_channel))
+        agents: dict[Atom, tuple[bool, frozenset[Atom], bool]] = dict(zip(atoms, wiring))
+        if len(agents) < len(atoms):
+            shared = {a for a, count in Counter(atoms).items() if count > 1}
+            merged: dict[Atom, tuple[bool, frozenset[Atom], bool]] = {}
+            for i in compress(range(len(atoms)), map(shared.__contains__, atoms)):
+                senses, images, channel = wiring[i]
+                prior = merged.get(atoms[i])
+                if prior is not None:
+                    was_sensing, had_images, had_channel = prior
+                    senses = senses or was_sensing
+                    images = images if images is had_images else images | had_images
+                    channel = channel or had_channel
+                merged[atoms[i]] = (senses, images, channel)
+            agents.update(merged)
         self.agents = agents
 
     def __contains__(self, word: Word) -> bool:
@@ -161,26 +186,29 @@ def derive_structure(decl: AwarenessDecl) -> Polynomial:
     return Polynomial.of(words)
 
 
-def _required_words(
+def _prefixes(
     rule: RuleKind,
     root: Atom,
-    agent_atom: Atom,
     agent_atoms: Sequence[Atom],
     controller_atom: Atom | None,
-) -> list[Word]:
-    """The words of ``rule_requirements``, repeated once per repeat in ``agent_atoms``."""
+) -> list[tuple[Atom, ...]]:
+    """What comes before the agent's own atom in each word ``rule`` requires.
+
+    The prefixes do not depend on the agent; a probabilistic rule has one
+    per atom of ``agent_atoms``, so pass each atom once.
+    """
     if rule is RuleKind.PASSIVE:
         return []
     if rule is RuleKind.REACTIVE:
-        return [Word((root, agent_atom))]
+        return [(root,)]
     if rule is RuleKind.PROBABILISTIC:
         # the agent senses the signal and holds an image of how every agent,
         # itself included, will react to it
-        return [Word((root, agent_atom)), *(Word((root, peer, agent_atom)) for peer in agent_atoms)]
+        return [(root,), *zip(repeat(root), agent_atoms)]
     if rule is RuleKind.COMMANDED:
         if controller_atom is None:
             raise ValueError("a commanded rule requires a controller atom")
-        return [Word((root, controller_atom, agent_atom))]
+        return [(root, controller_atom)]
     raise ValueError(f"unknown rule kind: {rule!r}")
 
 
@@ -192,7 +220,9 @@ def rule_requirements(
     controller_atom: Atom | None = None,
 ) -> frozenset[Word]:
     """Words a rule needs in the structure of awareness to be coherent."""
-    return frozenset(_required_words(rule, root, agent_atom, agent_atoms, controller_atom))
+    return frozenset(
+        Word(prefix + (agent_atom,)) for prefix in _prefixes(rule, root, agent_atoms, controller_atom)
+    )
 
 
 def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[Violation]:
@@ -201,15 +231,35 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
     Returns one record per missing word, ordered by agent then canonically
     by word; an empty list means the scenario is awareness-consistent.
     """
-    if len(rules) != len(decl.agent_atoms):
+    n = len(decl.agent_atoms)
+    if len(rules) != n:
         raise ValueError("one rule per agent is required")
     structure = _FactoredStructure(decl)
     # without repeated atoms no required word repeats, so each is looked up once
-    distinct_atoms = tuple(dict.fromkeys(decl.agent_atoms))
-    violations: list[Violation] = []
-    for i, (a, rule) in enumerate(zip(decl.agent_atoms, rules)):
-        required = _required_words(rule, decl.root, a, distinct_atoms, decl.controller_atom)
-        missing = [word for word in required if not contains_word(structure, word)]
-        missing.sort(key=lambda w: w.sort_key)
-        violations += (Violation(agent_id=i, rule=rule, missing=word) for word in missing)
-    return violations
+    distinct_atoms = tuple(structure.agents)
+    missing: list[tuple[int, Word]] = []
+    # the agents of each rule, found by C-level scans (hashing N enum members
+    # would call Python once per agent)
+    counts = dict(zip(RuleKind, map(rules.count, RuleKind)))
+    if sum(counts.values()) != n:
+        unknown = next(r for r in rules if not isinstance(r, RuleKind))
+        raise ValueError(f"unknown rule kind: {unknown!r}")
+    for rule, count in counts.items():
+        if not count:
+            continue
+        ids, owners = range(n), decl.agent_atoms
+        if count < n:
+            ids = tuple(compress(ids, map(is_, rules, repeat(rule))))
+            owners = tuple(map(decl.agent_atoms.__getitem__, ids))
+        # the words of one prefix for every agent of the rule at a time, so
+        # that memory stays linear in the agents
+        for prefix in _prefixes(rule, decl.root, distinct_atoms, decl.controller_atom):
+            for start in range(0, len(owners), _BATCH):
+                words = list(map(Word, zip(*map(repeat, prefix), owners[start : start + _BATCH])))
+                present = list(map(contains_word, repeat(structure), words))
+                if not all(present):
+                    missing += (
+                        (ids[start + k], words[k]) for k in compress(range(len(words)), map(not_, present))
+                    )
+    missing.sort(key=lambda found: (found[0], found[1].sort_key))
+    return [Violation(agent_id=i, rule=rules[i], missing=word) for i, word in missing]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +60,13 @@ class CircuitConfig:
     def is_homogeneous(self) -> bool:
         return self._homogeneous
 
+    # numpy's 1.0 / r is Python's, bit for bit, so these equal the per-branch
+    # expressions; the resistances are read at C speed
     def base_conductances(self) -> np.ndarray:
-        return np.array([1.0 / b.r_base for b in self.branches])
+        return 1.0 / np.fromiter(map(attrgetter("r_base"), self.branches), np.float64, len(self.branches))
 
     def flex_conductances(self) -> np.ndarray:
-        return np.array([1.0 / b.r_flex for b in self.branches])
+        return 1.0 / np.fromiter(map(attrgetter("r_flex"), self.branches), np.float64, len(self.branches))
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class LoadState:
 
     @staticmethod
     def of(flags: Sequence[bool]) -> "LoadState":
-        return LoadState(tuple(bool(f) for f in flags))
+        return LoadState(tuple(map(bool, flags)))
 
 
 @dataclass(frozen=True)

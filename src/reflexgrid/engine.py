@@ -90,6 +90,14 @@ order only where agents are summed, counted, planned for or recorded.  The
 expanded conductances are the same N values in the same order, so the
 result is bit-identical to simulating every agent.
 
+Agents of a scenario file share their ``AgentConfig`` objects, so the work
+before step 0 runs per distinct object, not per agent: ``_cohorts`` gives
+each distinct config and branch object its value class and lumps agents
+by one ``np.unique`` over their class pairs, and each per-cohort field is
+read once per distinct config and spread to the cohorts by one index.
+The remaining passes over the N agents (identities, class lookups, the
+resistances) are C-level ``map`` calls.
+
 A fleet without probabilistic agents or a controller is a deterministic
 machine, and away from the ``max_shift`` clip it does not depend on
 absolute time or on absolute shifts: windows and runs only matter
@@ -221,7 +229,7 @@ class Scenario:
         if self.controller is not None and not self.circuit.is_homogeneous:
             raise ValueError("a controller requires identical circuit branches")
         # the bound of the module docstring, over the fleet's distinct configs
-        distinct = {id(a): a for a in self.agents}.values()
+        distinct = dict(zip(map(id, self.agents), self.agents)).values()
         reach = 3 * max((a.period for a in distinct), default=0) + max(
             (a.max_shift for a in distinct), default=0
         )
@@ -347,9 +355,12 @@ def uniform_draws(seed: int, t: int, n: int) -> np.ndarray:
 
 def initial_sensed_voltage(scenario: Scenario) -> float:
     """Steady bus voltage at t=0 under every agent's passive schedule."""
-    desired = [(0 - a.phase) % a.period < a.on_steps for a in scenario.agents]
+    ids = list(map(id, scenario.agents))
+    configs = dict(zip(ids, scenario.agents))
+    # each distinct config's schedule is read once
+    desired = {i: (0 - a.phase) % a.period < a.on_steps for i, a in configs.items()}
     vs0 = source_voltage(scenario, 0)
-    return solve(scenario.circuit, vs0, LoadState.of(desired)).v_load
+    return solve(scenario.circuit, vs0, LoadState.of(map(desired.__getitem__, ids))).v_load
 
 
 def source_voltage(scenario: Scenario, t: int) -> float:
@@ -369,22 +380,46 @@ def _cohorts(scenario: Scenario) -> tuple[list[AgentConfig], np.ndarray | slice,
     own, keyed on its index.  Returns each cohort's lowest-id member, the
     ids of those members and each agent's cohort index; both index objects
     are ``slice(None)`` when no cohort has two members.
+
+    Python runs once per distinct ``AgentConfig`` and ``Branch`` object:
+    each gets the number of its value class, so that equal but distinct
+    objects still lump, and the agents are keyed by C-level lookups.
     """
-    index: dict = {}
-    first: list[int] = []
-    cohort: list[int] = []
-    for i, (a, branch) in enumerate(zip(scenario.agents, scenario.circuit.branches)):
-        if a.rule in (RuleKind.PASSIVE, RuleKind.REACTIVE):
-            key = (a.rule, a.period, a.on_steps, a.phase, a.max_shift, a.v_low, a.v_high, branch)
-        else:
-            key = i
-        k = index.setdefault(key, len(first))
-        if k == len(first):
-            first.append(i)
-        cohort.append(k)
-    if len(first) == len(cohort):
-        return list(scenario.agents), slice(None), slice(None)
-    return [scenario.agents[i] for i in first], np.array(first), np.array(cohort)
+    agents, branches = scenario.agents, scenario.circuit.branches
+    n = len(agents)
+    config_ids = list(map(id, agents))
+    lumpable = (RuleKind.PASSIVE, RuleKind.REACTIVE)
+    # each distinct config's value class, or -1 for a cohort of one agent
+    classes: dict = {}
+    config_class = {
+        i: classes.setdefault(
+            (a.rule, a.period, a.on_steps, a.phase, a.max_shift, a.v_low, a.v_high), len(classes)
+        ) if a.rule in lumpable else -1
+        for i, a in dict(zip(config_ids, agents)).items()
+    }
+    if not classes:
+        return list(agents), slice(None), slice(None)
+    branch_ids = list(map(id, branches))
+    branch_classes: dict = {}
+    branch_class = {
+        i: branch_classes.setdefault(b, len(branch_classes))
+        for i, b in dict(zip(branch_ids, branches)).items()
+    }
+    c = np.fromiter(map(config_class.__getitem__, config_ids), np.int64, n)
+    b = np.fromiter(map(branch_class.__getitem__, branch_ids), np.int64, n)
+    # agents of one config class on one branch class share a key; each
+    # other agent's key is its own, past every shared one
+    m = len(branch_classes)
+    key = np.where(c < 0, len(classes) * m + np.arange(n), c * m + b)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if len(first) == n:
+        return list(agents), slice(None), slice(None)
+    # cohorts numbered in the order of their lowest ids
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    return list(map(agents.__getitem__, first.tolist())), first, rank[inverse]
 
 
 def run(scenario: Scenario) -> Trace:
@@ -396,17 +431,27 @@ def run(scenario: Scenario) -> Trace:
     cfgs, first, cohort = _cohorts(scenario)
     k = len(cfgs)
 
-    period = np.array([a.period for a in cfgs], dtype=np.int64)
-    on_steps = np.array([a.on_steps for a in cfgs], dtype=np.int64)
-    phase = np.array([a.phase for a in cfgs], dtype=np.int64)
-    max_shift = np.array([a.max_shift for a in cfgs], dtype=np.int64)
-    min_shift = -max_shift
-    prob = np.array([a.p for a in cfgs])
-    latch_cfg = np.array([a.p_latch for a in cfgs], dtype=bool)
+    # each field is read once per distinct config object and spread to the
+    # cohorts that share it
+    ids = list(map(id, cfgs))
+    distinct = list(dict(zip(ids, cfgs)).values())
+    slot = {id(a): j for j, a in enumerate(distinct)}
+    which = np.fromiter(map(slot.__getitem__, ids), np.intp, k)
 
-    reactive_mask = np.array([a.rule is RuleKind.REACTIVE for a in cfgs], dtype=bool)
-    prob_mask = np.array([a.rule is RuleKind.PROBABILISTIC for a in cfgs], dtype=bool)
-    cmd_mask = np.array([a.rule is RuleKind.COMMANDED for a in cfgs], dtype=bool)
+    def per_cohort(values: list, dtype=None) -> np.ndarray:
+        return np.array(values, dtype=dtype)[which]
+
+    period = per_cohort([a.period for a in distinct], np.int64)
+    on_steps = per_cohort([a.on_steps for a in distinct], np.int64)
+    phase = per_cohort([a.phase for a in distinct], np.int64)
+    max_shift = per_cohort([a.max_shift for a in distinct], np.int64)
+    min_shift = -max_shift
+    prob = per_cohort([a.p for a in distinct])
+    latch_cfg = per_cohort([a.p_latch for a in distinct], bool)
+
+    reactive_mask = per_cohort([a.rule is RuleKind.REACTIVE for a in distinct], bool)
+    prob_mask = per_cohort([a.rule is RuleKind.PROBABILISTIC for a in distinct], bool)
+    cmd_mask = per_cohort([a.rule is RuleKind.COMMANDED for a in distinct], bool)
     senses = reactive_mask | prob_mask
     has_reactive = bool(reactive_mask.any())
     has_prob = bool(prob_mask.any())
@@ -421,8 +466,8 @@ def run(scenario: Scenario) -> Trace:
 
     # agents that do not sense never trigger; when every sensing agent has
     # the same thresholds, the trigger is one int for the whole fleet
-    v_low = np.where(senses, [a.v_low for a in cfgs], -np.inf)
-    v_high = np.where(senses, [a.v_high for a in cfgs], np.inf)
+    v_low = np.where(senses, per_cohort([a.v_low for a in distinct]), -np.inf)
+    v_high = np.where(senses, per_cohort([a.v_high for a in distinct]), np.inf)
     thresholds = set(zip(v_low[senses].tolist(), v_high[senses].tolist()))
     uniform_thresholds = len(thresholds) <= 1
     v_low0, v_high0 = thresholds.pop() if thresholds else (-np.inf, np.inf)

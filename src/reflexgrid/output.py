@@ -27,14 +27,17 @@ and writes one block at a time, so it holds at most one block's text and
 a long trace never exists as one string.  The bytes equal formatting each
 value with ``repr(float(x))`` or ``str(int(x))``.
 
-The reader parses every data row with one ``np.loadtxt`` into a structured
-array: the five base columns, then the shift columns as one int64
-subarray.  Values that parse are checked as arrays: the steps against
-``arange`` and the shifts against int32's range, before the changed rows
-are cast to int32 for the ``ShiftRecord``.  So a read holds the parsed
-table and the base columns copied out of it, not one object per field.
+The reader takes the data lines of one open file in chunks of about
+``_READ_BYTES`` parsed bytes and parses each chunk with one ``np.loadtxt``
+into a structured array: the five base columns, then the shift columns as
+one int64 subarray.  Values that parse are checked as arrays: the steps
+against their row numbers and the shifts against int32's range, before
+the rows that change the shifts (compared with the row before, across
+chunk boundaries too) are cast to int32 for the ``ShiftRecord``.  So a
+read holds one chunk's lines and table, the base columns copied out of
+the chunks and the changed shift rows, never the (rows, N) shift table.
 Row n is the n-th data row; blank lines are skipped, as ``np.loadtxt``
-skips them.  When a row does not parse, the rows are bisected with the
+skips them.  When a chunk does not parse, its rows are bisected with the
 same parse to name the first that fails.
 
 The SVG chart computes its points as float64 arrays, in the order the
@@ -44,6 +47,7 @@ scalar expressions would, and formats them with one ``%``.
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -55,6 +59,8 @@ from .engine import Metrics, ShiftRecord, Trace
 _BASE_COLUMNS = ("t", "v_source", "v_load", "i_total", "n_flex_on")
 # rows per block: bounds the text held at once while writing a long trace
 _BLOCK_ROWS = 4096
+# parsed bytes per chunk of rows: bounds the table held at once while reading
+_READ_BYTES = 2**18
 # the text of 0..999 and of the last three digits of a step of 1000 or more
 _SMALL_STEPS = [str(r) for r in range(1000)]
 _LOW_DIGITS = ["%03d" % r for r in range(1000)]
@@ -150,45 +156,45 @@ def write_trace_csv(trace: Trace, path: str | Path, include_shifts: bool = False
             fh.write("".join(block))
 
 
-def _parse_rows(source: str | Path | list[str], dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
-    """The rows of ``source`` (a path or a list of lines) as a ``dtype`` array."""
+def _parse_rows(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    """``lines`` as a ``dtype`` array, one element per line that is not blank."""
     with warnings.catch_warnings():
         # no data rows is the caller's error, not a warning
         warnings.simplefilter("ignore", UserWarning)
         # numpy < 2 parses "1.0" as an integer with a warning; reject it as numpy 2 does
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, skiprows=skiprows,
-                          encoding="utf-8", ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, encoding="utf-8", ndmin=1)
 
 
-def _value_fault(table: np.ndarray) -> str | None:
+def _value_fault(table: np.ndarray, offset: int) -> str | None:
     """The row-numbered fault of the first parsed row whose values are bad:
-    a step out of order or a shift outside int32; None when there is none."""
+    a step out of order or a shift outside int32; None when there is none.
+    ``table`` holds data rows offset + 1, offset + 2, ..."""
     steps = table["t"]
-    bad = steps != np.arange(len(table))
+    bad = steps != np.arange(offset, offset + len(table))
     if "shifts" in table.dtype.names:
         shifts = table["shifts"]
         bad |= (shifts.min(axis=1) < -(2**31)) | (shifts.max(axis=1) >= 2**31)
     if not bad.any():
         return None
     row = int(np.argmax(bad))
-    if steps[row] != row:
-        return f"row {row + 1}: step index {steps[row]} out of order"
+    if steps[row] != offset + row:
+        return f"row {offset + row + 1}: step index {steps[row]} out of order"
     values = shifts[row]
     value = values[(values < -(2**31)) | (values >= 2**31)][0]
-    return f"row {row + 1}: shift {value} out of range for int32"
+    return f"row {offset + row + 1}: shift {value} out of range for int32"
 
 
-def _first_fault(path: str | Path, header: list[str], dtype: np.dtype) -> str:
-    """The row-numbered fault of the first bad data row of a file that does not parse.
+def _first_fault(chunk: list[str], offset: int, header: list[str], dtype: np.dtype) -> str:
+    """The row-numbered fault of the first bad data row of a chunk that does
+    not parse; its rows are numbered from offset + 1.
 
-    The rows are bisected with the bulk parse itself, so the row found is
+    The rows are bisected with the chunk's parse itself, so the row found is
     the first one it rejects.  The rows before it parse, and one of them
     may hold bad values, which is then the first fault.
     """
-    # universal newlines and no blank lines, as the bulk parse reads the file
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().split("\n")[1:] if line]
+    # no blank lines, as the parse skips them
+    lines = [line for line in (line.rstrip("\n") for line in chunk) if line]
     lo, hi = 0, len(lines)  # rows before lo parse; one in [lo, hi) does not
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -197,12 +203,12 @@ def _first_fault(path: str | Path, header: list[str], dtype: np.dtype) -> str:
             lo = mid
         except (ValueError, DeprecationWarning):
             hi = mid
-    earlier = _value_fault(_parse_rows(lines[:lo], dtype))
-    return earlier or f"row {lo + 1}: {_row_fault(lines[lo], header)}"
+    earlier = _value_fault(_parse_rows(lines[:lo], dtype), offset)
+    return earlier or f"row {offset + lo + 1}: {_row_fault(lines[lo], header)}"
 
 
 def _row_fault(line: str, header: list[str]) -> str:
-    """Why the bulk parse rejects ``line``, told field by field."""
+    """Why the parse rejects ``line``, told field by field."""
     fields = line.split(",")
     if len(fields) != len(header):
         return f"expected {len(header)} fields, got {len(fields)}"
@@ -226,8 +232,17 @@ def _row_fault(line: str, header: list[str]) -> str:
 def read_trace_csv(path: str | Path) -> Trace:
     """Parse a trace CSV back into arrays and, when it has shift columns, a
     ``ShiftRecord`` of one cohort per agent; raises ValueError on bad schema."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        line = fh.readline()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_trace(fh)
+    except UnicodeDecodeError:
+        # decoded again in one piece, so the error gives its offset in the file
+        Path(path).read_bytes().decode("utf-8")
+        raise
+
+
+def _read_trace(fh) -> Trace:
+    line = fh.readline()
     if not line:
         raise ValueError("empty CSV file")
     header = line.rstrip("\r\n").split(",")
@@ -240,26 +255,44 @@ def read_trace_csv(path: str | Path) -> Trace:
             raise ValueError(f"bad shift column name {name!r}")
     # the five base columns, then the shift columns as one int64 subarray
     fields = [(name, np.float64 if name in _BASE_COLUMNS[1:4] else np.int64) for name in _BASE_COLUMNS]
-    if len(header) > len(_BASE_COLUMNS):
-        fields.append(("shifts", np.int64, (len(header) - len(_BASE_COLUMNS),)))
+    width = len(header) - len(_BASE_COLUMNS)
+    if width:
+        fields.append(("shifts", np.int64, (width,)))
     dtype = np.dtype(fields)
-    try:
-        table = _parse_rows(path, dtype, skiprows=1)
-    except UnicodeDecodeError:
-        # decoded again in one piece, so the error gives its offset in the file
-        Path(path).read_bytes().decode("utf-8")
-        raise
-    except (ValueError, DeprecationWarning):
-        raise ValueError(_first_fault(path, header, dtype)) from None
-    if not len(table):
+    # each chunk's base columns, and the steps and rows of its shift changes
+    columns: dict[str, list[np.ndarray]] = {name: [] for name in _BASE_COLUMNS[1:]}
+    steps: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    last = None  # the shift row before the chunk
+    rows = 0
+    while chunk := list(islice(fh, max(1, _READ_BYTES // dtype.itemsize))):
+        try:
+            table = _parse_rows(chunk, dtype)
+        except (ValueError, DeprecationWarning):
+            raise ValueError(_first_fault(chunk, rows, header, dtype)) from None
+        fault = _value_fault(table, rows)
+        if fault:
+            raise ValueError(fault)
+        if not len(table):
+            continue  # blank lines only
+        # copies, so that no chunk's table stays alive
+        for name, parts in columns.items():
+            parts.append(table[name].copy())
+        if width:
+            shifts = table["shifts"]
+            changed = np.empty(len(shifts), dtype=bool)
+            changed[0] = last is None or (shifts[0] != last).any()
+            changed[1:] = (shifts[1:] != shifts[:-1]).any(axis=1)
+            steps.append(rows + np.flatnonzero(changed))
+            values.append(shifts[changed].astype(np.int32))
+            last = shifts[-1].copy()
+        rows += len(table)
+    if not rows:
         raise ValueError("CSV contains no data rows")
-    fault = _value_fault(table)
-    if fault:
-        raise ValueError(fault)
-    # copies, so that the trace does not keep the parsed table alive
-    columns = [table[name].copy() for name in _BASE_COLUMNS[1:]]
-    record = ShiftRecord.from_matrix(table["shifts"]) if "shifts" in dtype.names else None
-    return Trace(*columns, record)
+    record = None
+    if width:
+        record = ShiftRecord(np.concatenate(steps), np.concatenate(values), np.arange(width))
+    return Trace(*(np.concatenate(parts) for parts in columns.values()), record)
 
 
 def metrics_summary(metrics: Metrics, band: Band, window: tuple[int, int]) -> str:

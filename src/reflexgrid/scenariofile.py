@@ -17,6 +17,7 @@ calibrated nominal voltage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .agents import AgentConfig, Band, RuleKind
@@ -40,7 +41,7 @@ class ScenarioBundle:
 
     @property
     def rules(self) -> tuple[RuleKind, ...]:
-        return tuple(a.rule for a in self.scenario.agents)
+        return tuple(map(attrgetter("rule"), self.scenario.agents))
 
 
 def _to_bool(value: str) -> bool:
@@ -107,10 +108,14 @@ _SCHEMA = {
     },
     "band": {"ratio": (float, None), "v_low": (float, None), "v_high": (float, None)},
 }
-# the largest fleet a scenario file may declare: `reflexgrid validate` of
-# scenario A at this count takes about 0.9 s and 80 MiB on a 2-vCPU VM,
-# and set-up still walks every agent
+# the largest fleet a scenario file may declare: set-up runs Python per
+# distinct config and per required awareness word, and `reflexgrid
+# validate` of scenario A at this count takes about 0.3-0.5 s and 68 MiB on
+# a 2-vCPU VM
 MAX_AGENTS = 100_000
+# the longest run a scenario file may declare: the trace holds four 8-byte
+# values per step (v_source, v_load, i_total, n_flex_on), 1 GiB at this bound
+MAX_HORIZON = 2**30 // 32
 
 
 def _parse_sections(text: str) -> tuple[dict, dict]:
@@ -185,6 +190,8 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
     count = fleet.pop("count")
     if not 1 <= count <= MAX_AGENTS:
         raise ScenarioFileError(f"agent count must be in [1, {MAX_AGENTS}], got {count}")
+    if not 1 <= run["horizon"] <= MAX_HORIZON:
+        raise ScenarioFileError(f"horizon must be in [1, {MAX_HORIZON}], got {run['horizon']}")
     phase_spread = fleet.pop("phase_spread")
     if phase_spread != "uniform":
         raise ScenarioFileError(f"unsupported phase_spread {phase_spread!r} (only 'uniform')")
@@ -213,19 +220,34 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
             band = Band(**band_sec)
         fleet = {"v_low": band.v_low, "v_high": band.v_high, **fleet}
         disturbance = Disturbance(**dist)
-        # one config per phase, or per (id,) with an [agent.<id>] block, built at its lowest id
-        configs: dict = {}
-        agents = []
-        for i in range(count):
-            key = (i,) if i in overrides else i % period
-            if key not in configs:
-                fields = {"phase": i % period, **fleet, **overrides.get(i, {})}
-                if fields["rule"] is RuleKind.PROBABILISTIC and "p" not in fields:
-                    raise ScenarioFileError(
-                        f"agent {i} has a probabilistic rule but no reaction probability 'p'"
-                    )
-                configs[key] = AgentConfig(**fields)
-            agents.append(configs[key])
+        # one config per phase and one per [agent.<id>] block, built in the
+        # order of the lowest id that uses each, so that the first error
+        # names the lowest offending agent; a phase whose every agent has a
+        # block gets none
+        phases = min(period, count)
+        uses = [(i, i % period, block) for i, block in overrides.items()]
+        for phase in range(phases):
+            i = phase
+            while i in overrides:  # bounded by the blocks in all
+                i += period
+            if i < count:
+                uses.append((i, phase, None))
+        by_phase: list = [None] * phases
+        own: dict[int, AgentConfig] = {}
+        for i, phase, block in sorted(uses, key=itemgetter(0)):
+            fields = {"phase": phase, **fleet, **(block or {})}
+            if fields["rule"] is RuleKind.PROBABILISTIC and "p" not in fields:
+                raise ScenarioFileError(
+                    f"agent {i} has a probabilistic rule but no reaction probability 'p'"
+                )
+            if block is None:
+                by_phase[phase] = AgentConfig(**fields)
+            else:
+                own[i] = AgentConfig(**fields)
+        # the fleet by list repetition, then each block's agent
+        agents = (by_phase * -(-count // phases))[:count]
+        for i, config in own.items():
+            agents[i] = config
         controller = ControllerConfig(**{"v_nominal": v_nominal, **ctrl}) if ctrl_enabled else None
         scenario = Scenario(circuit, source["v_base"], disturbance, tuple(agents), band,
                             controller=controller, **run)

@@ -1,6 +1,8 @@
 """Wiring-to-polynomial derivation and the rule-requirement validator."""
 
+import pickle
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import reflexgrid.awareness
 from reflexgrid.agents import RuleKind
-from reflexgrid.algebra import Atom, Word, contains_word, equals, parse
+from reflexgrid.algebra import Atom, Word, contains_word, equals, indexed_atoms, parse
 from reflexgrid.awareness import (
     AwarenessDecl,
     Violation,
@@ -18,7 +20,9 @@ from reflexgrid.awareness import (
     standard_declaration,
     validate_awareness,
 )
+from reflexgrid.scenariofile import load_scenario
 
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 T = Atom("T")
 C = Atom("c")
 
@@ -290,3 +294,67 @@ def test_full_peer_validation_memory_is_linear_in_agents():
     assert violations == []
     # listing the structure's N^2 + N + 1 words instead peaks at about 19 MiB
     assert peak < 2 * 2**20
+
+
+def test_shipped_b_looks_up_each_required_word_once(monkeypatch):
+    # the benchmark pins N(N+1) lookups per validation of B
+    bundle = load_scenario(SCENARIOS / "scenario_b.cfg")
+    n = bundle.scenario.n_agents
+    calls = []
+
+    def counting(structure, word):
+        calls.append(word)
+        return contains_word(structure, word)
+
+    monkeypatch.setattr(reflexgrid.awareness, "contains_word", counting)
+    assert validate_awareness(bundle.awareness, bundle.rules) == []
+    assert len(calls) == n * (n + 1)
+
+
+A0, A1, A2 = Atom("a", 0), Atom("a", 1), Atom("a", 2)
+# agent 0 and agent 2 share a0; a2 senses nothing, holds no images and has no channel
+SHARED_ATOM_DECL = AwarenessDecl(
+    root=T,
+    agent_atoms=(A0, A1, A0, A2),
+    senses_root=(True, True, False, False),
+    peer_images=(frozenset({A1}), frozenset({A0, A1, A2}), frozenset({A2}), frozenset()),
+    controller_atom=C,
+    controller_senses_root=True,
+    controller_channel=(False, True, True, False),
+)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        [RuleKind.PROBABILISTIC] * 4,
+        [RuleKind.REACTIVE] * 4,
+        [RuleKind.COMMANDED] * 4,
+        [RuleKind.PASSIVE] * 4,
+        [RuleKind.PROBABILISTIC, RuleKind.COMMANDED, RuleKind.REACTIVE, RuleKind.PROBABILISTIC],
+        [RuleKind.COMMANDED, RuleKind.PASSIVE, RuleKind.PROBABILISTIC, RuleKind.REACTIVE],
+    ],
+)
+@pytest.mark.parametrize("batch", [1, 3, reflexgrid.awareness._BATCH])
+def test_shared_atoms_and_missing_wiring_match_per_word_reference(monkeypatch, rules, batch):
+    monkeypatch.setattr(reflexgrid.awareness, "_BATCH", batch)  # words looked up at a time
+    violations = validate_awareness(SHARED_ATOM_DECL, rules)
+    assert violations == sorted_violations(SHARED_ATOM_DECL, rules)
+    # a2 is wired to nothing, so every word its rule requires is missing
+    expected_a2 = {
+        RuleKind.PASSIVE: 0,
+        RuleKind.REACTIVE: 1,
+        RuleKind.PROBABILISTIC: 4,  # T a2 and T p a2 for the three distinct atoms
+        RuleKind.COMMANDED: 1,
+    }[rules[3]]
+    assert sum(v.agent_id == 3 for v in violations) == expected_a2
+
+
+def test_indexed_atoms_equal_the_atoms_built_one_by_one():
+    atoms = indexed_atoms("a", 300)
+    assert atoms == tuple(Atom("a", i) for i in range(300))
+    assert [hash(a) for a in atoms] == [hash(Atom("a", i)) for i in range(300)]
+    assert pickle.loads(pickle.dumps(atoms)) == atoms
+    assert indexed_atoms("x", 0) == ()
+    with pytest.raises(ValueError):
+        indexed_atoms("ab", 3)

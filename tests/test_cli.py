@@ -9,7 +9,7 @@ import pytest
 from reflexgrid.circuit import CircuitConfig
 from reflexgrid.cli import main
 from reflexgrid.engine import SHIFT_RECORDING_MAX_ENTRIES
-from reflexgrid.scenariofile import MAX_AGENTS
+from reflexgrid.scenariofile import MAX_AGENTS, MAX_HORIZON
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -274,6 +274,9 @@ INVALID_B_EDITS = [
     ("on_steps = 50", "on_steps = 0"),
     ("on_steps = 50", "on_steps = 100"),
     ("horizon = 8000", "horizon = 99999999999999999999"),
+    # a trace of four 8-byte values per step that no machine could hold
+    ("horizon = 8000", "horizon = 10000000000000"),
+    ("horizon = 8000", f"horizon = {MAX_HORIZON + 1}"),
     ("delta_v = 0.3", "delta_v = nan"),  # NaN voltages would compare as in band
     ("delta_v = 0.3", "delta_v = 10.5"),  # a negative source
     ("r_source = 0.08", "r_source = inf"),

@@ -328,12 +328,57 @@ def lumpable_fleets(draw):
     return sc
 
 
+def per_agent_cohorts(sc: Scenario) -> tuple[list[int], list[int]]:
+    """The cohorts' lowest ids and each agent's cohort, keyed agent by agent:
+    the reference for ``_cohorts``."""
+    index: dict = {}
+    first: list[int] = []
+    cohort: list[int] = []
+    for i, (a, branch) in enumerate(zip(sc.agents, sc.circuit.branches)):
+        if a.rule in (RuleKind.PASSIVE, RuleKind.REACTIVE):
+            key = (a.rule, a.period, a.on_steps, a.phase, a.max_shift, a.v_low, a.v_high, branch)
+        else:
+            key = i
+        k = index.setdefault(key, len(first))
+        if k == len(first):
+            first.append(i)
+        cohort.append(k)
+    return first, cohort
+
+
+@st.composite
+def shared_fleets(draw):
+    """Fleets built from a few configs and branches the way a scenario file
+    shares them: one object for many agents, equal but distinct objects,
+    and overrides that differ in one field."""
+    base = build_scenario(RuleKind.REACTIVE, n=1, period=8, on_steps=3)
+    template = base.agents[0]
+    changes = [
+        {},
+        {"phase": 3},
+        {"rule": RuleKind.PASSIVE},
+        {"rule": RuleKind.PROBABILISTIC},
+        {"rule": RuleKind.COMMANDED},
+        {"max_shift": 2},
+        {"v_low": template.v_low - 0.01},
+    ]
+    # a pool entry is an object several agents share; equal entries are distinct objects
+    pool = [replace(template, **change)
+            for change in draw(st.lists(st.sampled_from(changes), min_size=1, max_size=5))]
+    branch_pool = [Branch(100.0, r_flex)
+                   for r_flex in draw(st.lists(st.sampled_from([50.0, 60.0]), min_size=1, max_size=3))]
+    n = draw(st.integers(1, 40))
+    agents = tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    branches = tuple(draw(st.lists(st.sampled_from(branch_pool), min_size=n, max_size=n)))
+    return replace(base, agents=agents, circuit=CircuitConfig(base.circuit.r_source, branches))
+
+
 class TestCohorts:
     """Copies of a deterministic agent are simulated once; the traces must
     stay those of the per-agent reference."""
 
     @settings(max_examples=150, deadline=None)
-    @given(lumpable_fleets())
+    @given(st.one_of(lumpable_fleets(), shared_fleets()))
     def test_lumped_fleets_match_reference(self, sc):
         engine_trace = run(sc)
         ref_trace = run_reference(sc)
@@ -375,6 +420,18 @@ class TestCohorts:
         reps, first, cohort = _cohorts(sc)
         assert reps == list(sc.agents)
         assert first == cohort == slice(None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_fleets())
+    def test_cohorts_match_the_per_agent_keys(self, sc):
+        reps, first, cohort = _cohorts(sc)
+        ref_first, ref_cohort = per_agent_cohorts(sc)
+        if len(ref_first) == sc.n_agents:
+            assert first == cohort == slice(None)
+            assert reps == list(sc.agents)
+        else:
+            assert first.tolist() == ref_first and cohort.tolist() == ref_cohort
+            assert all(r is sc.agents[i] for r, i in zip(reps, ref_first, strict=True))
 
 
 class TestCircuitMemo:

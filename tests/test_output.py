@@ -15,9 +15,11 @@ from conftest import build_scenario
 from reflexgrid.agents import Band, RuleKind
 from reflexgrid.engine import compute_metrics, run
 from reflexgrid.engine import ShiftRecord, Trace
+import reflexgrid.output
 from reflexgrid.output import (
     _BASE_COLUMNS,
     _BLOCK_ROWS,
+    _READ_BYTES,
     _chart_points,
     _ranks,
     metrics_summary,
@@ -426,6 +428,76 @@ def test_reader_holds_a_few_times_the_arrays_it_returns(tmp_path):
     # the parsed table holds 8 bytes per field and the base columns are copied
     # out of it: about 2.4 times; one Python object per field is over 20 times
     assert peak < 3 * returned + 2**16
+
+
+@pytest.mark.parametrize("rows", [2_000, 16_000])
+def test_reader_peak_does_not_grow_with_the_shift_table(tmp_path, rows):
+    # 200 shift columns: the int64 table of every row would be 25.6 MB at
+    # 16 000 rows, while the changed rows the record keeps are few
+    trace = synthetic_trace(rows, [0.5, 1e-5], 200, "runs", 0, n_flex_pool=[0, 7])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, include_shifts=True)
+    loaded, peak = traced_peak(lambda: read_trace_csv(path))
+    record = loaded.shift_record
+    returned = sum(getattr(loaded, name).nbytes for name in _BASE_COLUMNS[1:])
+    returned += record.steps.nbytes + record.values.nbytes + record.cohort.nbytes
+    # the chunks' base columns and their concatenation, plus one chunk's
+    # lines and table, which do not depend on the row count
+    assert peak < 2 * returned + 8 * _READ_BYTES
+
+
+def chunk_of(monkeypatch, rows, width):
+    """Make the reader parse ``rows`` rows of a trace with ``width`` shift columns at a time."""
+    monkeypatch.setattr(reflexgrid.output, "_READ_BYTES", rows * 8 * (len(_BASE_COLUMNS) + width))
+
+
+@pytest.mark.parametrize("pattern", SHIFT_PATTERNS)
+@pytest.mark.parametrize("horizon", [1, 6, 7, 8, 50])
+def test_chunked_read_keeps_every_shift_change(tmp_path, monkeypatch, pattern, horizon):
+    chunk_of(monkeypatch, 7, 3)
+    trace = synthetic_trace(horizon, SPECIAL_FLOATS, 3, pattern, horizon, n_flex_pool=INT64_EXTREMES)
+    lines = trace_to_csv(trace, include_shifts=True).splitlines()
+    # blank lines are skipped, a whole chunk of them included
+    lines[1:1] = [""] * 7
+    lines.insert(12, "")
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    loaded = read_trace_csv(path)
+    assert float_bits(loaded.v_load) == float_text_bits(trace.v_load)
+    assert np.array_equal(loaded.n_flex_on, trace.n_flex_on)
+    assert np.array_equal(loaded.shift_record.steps, trace.shift_record.steps)
+    assert np.array_equal(loaded.shift_record.values, trace.shift_record.values)
+    assert np.array_equal(loaded.shifts, trace.shifts)
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_ROWS))
+@pytest.mark.parametrize("row", [99, 100, 101, 102])
+def test_malformed_row_is_named_beside_a_chunk_boundary(tmp_path, monkeypatch, kind, row):
+    chunk_of(monkeypatch, 100, 2)  # rows 1-100, then 101-200
+    trace = synthetic_trace(250, [0.5], 2, "runs", row, n_flex_pool=[4])
+    lines = trace_to_csv(trace, include_shifts=True).splitlines()
+    lines[row], fault = MALFORMED_ROWS[kind](row - 1)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"row {row}: {fault}"
+
+
+@pytest.mark.parametrize("first, second", [("step_out_of_order", "not_a_number"),
+                                           ("not_a_number", "step_out_of_order"),
+                                           ("float_shift", "wide_n_flex_on")])
+def test_first_bad_row_is_named_across_a_chunk_boundary(tmp_path, monkeypatch, first, second):
+    chunk_of(monkeypatch, 100, 2)
+    trace = synthetic_trace(250, [0.5], 2, "runs", 0, n_flex_pool=[4])
+    lines = trace_to_csv(trace, include_shifts=True).splitlines()
+    lines[100], fault = MALFORMED_ROWS[first](99)
+    lines[101], _ = MALFORMED_ROWS[second](100)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"row 100: {fault}"
 
 
 def test_summary_contains_all_metrics(trace):

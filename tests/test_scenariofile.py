@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 from reflexgrid.agents import AgentConfig, RuleKind
-from reflexgrid.scenariofile import _AGENT_FIELDS, ScenarioFileError, parse_scenario_text
+from reflexgrid.scenariofile import MAX_HORIZON, _AGENT_FIELDS, ScenarioFileError, parse_scenario_text
 
 MINIMAL = """\
 [circuit]
@@ -98,9 +98,19 @@ def test_probabilistic_with_p():
     assert all(a.p == 0.25 for a in bundle.scenario.agents)
 
 
-def test_missing_p_names_the_lowest_agent_without_it():
-    text = MINIMAL.replace("rule = reactive", "rule = probabilistic") + "\n[agent.0]\np = 0.5\n"
-    with pytest.raises(ScenarioFileError, match="^agent 1 has a probabilistic rule"):
+@pytest.mark.parametrize(
+    "blocks, lowest",
+    [
+        ("\n[agent.0]\np = 0.5\n", 1),
+        # a block without p after a fleet agent without it
+        ("\n[agent.7]\nmax_shift = 3\n", 0),
+        # a block without p before the fleet's lowest agent without it
+        ("\n[agent.0]\np = 0.5\n[agent.1]\nmax_shift = 3\n", 1),
+    ],
+)
+def test_missing_p_names_the_lowest_agent_without_it(blocks, lowest):
+    text = MINIMAL.replace("rule = reactive", "rule = probabilistic") + blocks
+    with pytest.raises(ScenarioFileError, match=f"^agent {lowest} has a probabilistic rule"):
         parse_scenario_text(text)
 
 
@@ -250,6 +260,40 @@ def test_fleet_agents_share_one_config_per_phase(monkeypatch):
     for i in (0, 5, 99, 100, 105, 905, 999):
         expected = AgentConfig(**{"phase": i % 100, **fleet, **overrides.get(i, {})})
         assert sc.agents[i] == expected
+
+
+def test_a_phase_whose_agents_all_have_blocks_gets_no_config(monkeypatch):
+    text = MINIMAL.replace("count = 10", "count = 25")
+    text += "".join(f"\n[agent.{i}]\nmax_shift = {i}\n" for i in (3, 13, 23, 7))
+    post_init = AgentConfig.__post_init__
+    calls = []
+
+    def counting_post_init(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AgentConfig, "__post_init__", counting_post_init)
+    agents = parse_scenario_text(text).scenario.agents
+    monkeypatch.undo()
+    # nine phases and four blocks: phase 3 is used by blocked agents only
+    assert len(calls) == 9 + 4
+    assert [a.max_shift for a in agents[3::10]] == [3, 13, 23]
+    # phase 7's config is built for agent 17, its lowest id without a block
+    assert agents[7].max_shift == 7 and agents[17].max_shift == 10
+    assert agents[5] is agents[15]
+    assert [a.phase for a in agents] == [i % 10 for i in range(25)]
+
+
+def test_horizon_bound():
+    # the trace holds 32 bytes per step: 1 GiB at the bound, and the
+    # benchmark's 100 000 steps fit
+    assert 100_000 <= MAX_HORIZON and 32 * MAX_HORIZON <= 2**30
+    # parsing allocates nothing per step, so the bound itself builds
+    text = MINIMAL.replace("horizon = 100", f"horizon = {MAX_HORIZON}")
+    assert parse_scenario_text(text).scenario.horizon == MAX_HORIZON
+    message = rf"^horizon must be in \[1, {MAX_HORIZON}\], got {MAX_HORIZON + 1}$"
+    with pytest.raises(ScenarioFileError, match=message):
+        parse_scenario_text(MINIMAL.replace("horizon = 100", f"horizon = {MAX_HORIZON + 1}"))
 
 
 def test_override_for_missing_agent_rejected():
