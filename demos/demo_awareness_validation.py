@@ -28,9 +28,6 @@ for wname, wiring in wirings.items():
     print(f"\nwiring: {wname}")
     print(f"  structure: {derive_structure(wiring)}")
     for rname, fleet in rules.items():
-        if rname == "commanded" and wiring.controller_atom is None:
-            print(f"  {rname:13s} -> not expressible (no controller in the wiring)")
-            continue
         violations = validate_awareness(wiring, fleet)
         verdict = "consistent" if not violations else f"{len(violations)} missing words"
         print(f"  {rname:13s} -> {verdict}")

@@ -7,15 +7,17 @@ image of x's image of T").  Coefficients are Boolean, so a polynomial is
 just a set of words: addition is set union, multiplication concatenates
 every pair of words, and the empty word acts as the unit ``1``.
 
-All values are immutable; every operation returns a new value.
+All values are immutable; every operation returns a new value.  Atoms and
+words are tuples, ``(letter, index)`` and the run of atoms, so they hash,
+compare and pickle as the tuples they are.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Container, Iterable, Iterator, Sequence, Union
 
 
@@ -28,34 +30,33 @@ class ExpressionError(ValueError):
 
 
 _ATOM_RE = re.compile(r"[A-Za-z][0-9]*")
+# a word factor: atoms and standalone unit placeholders; digits after a
+# letter are its index, so "T11" is one atom and "1T1" is T1
+_FACTOR_RE = re.compile(r"(?:[A-Za-z][0-9]*|1)*")
 
 
-@dataclass(frozen=True, order=False, slots=True)
-class Atom:
+class Atom(tuple):
     """One symbol: a single letter plus an optional numeric suffix.
 
-    ``Atom("a")`` and ``Atom("a", 1)`` are distinct; an absent index is not
-    index 0.
+    The value is the tuple ``(letter, index)``; ``Atom("a")`` and
+    ``Atom("a", 1)`` are distinct, since an absent index is not index 0.
     """
 
-    letter: str
-    index: int | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.letter) != 1 or not self.letter.isalpha():
-            raise ValueError(f"atom letter must be a single alphabetic character, got {self.letter!r}")
-        if self.index is not None and self.index < 0:
-            raise ValueError(f"atom index must be non-negative, got {self.index}")
-        # the generated hash would rebuild this tuple on every set lookup;
-        # str hashes differ between processes, so pickles rebuild it
-        object.__setattr__(self, "_hash", hash((self.letter, self.index)))
+    def __new__(cls, letter: str, index: int | None = None):
+        if len(letter) != 1 or not letter.isalpha():
+            raise ValueError(f"atom letter must be a single alphabetic character, got {letter!r}")
+        if index is not None and index < 0:
+            raise ValueError(f"atom index must be non-negative, got {index}")
+        return tuple.__new__(cls, (letter, index))
 
-    def __hash__(self) -> int:
-        return self._hash
+    letter = property(itemgetter(0))
+    index = property(itemgetter(1))
 
-    def __reduce__(self):
-        return Atom, (self.letter, self.index)
+    def __getnewargs__(self) -> tuple[str, int | None]:
+        # a pickle calls Atom(letter, index); tuple's own would pass one tuple
+        return tuple(self)
 
     @property
     def sort_key(self) -> tuple[str, int]:
@@ -73,16 +74,10 @@ def indexed_atoms(letter: str, n: int) -> tuple[Atom, ...]:
     """``Atom(letter, i)`` for every i in range(n), built in one pass.
 
     The letter is checked once and every index of the range is valid, so
-    no atom runs ``__post_init__``: each slot is filled for all atoms by
-    one C-level ``map``, the hashes included.
+    the atoms are made by one C-level ``map`` that skips ``Atom.__new__``.
     """
     Atom(letter)  # checks the letter
-    atoms = tuple(map(object.__new__, repeat(Atom, n)))
-    indices = range(n)
-    deque(map(Atom.letter.__set__, atoms, repeat(letter)), 0)
-    deque(map(Atom.index.__set__, atoms, indices), 0)
-    deque(map(Atom._hash.__set__, atoms, map(hash, zip(repeat(letter), indices))), 0)
-    return atoms
+    return tuple(map(tuple.__new__, repeat(Atom, n), zip(repeat(letter), range(n))))
 
 
 def atom(text: str) -> Atom:
@@ -93,23 +88,13 @@ def atom(text: str) -> Atom:
     return Atom(text[0], int(text[1:]) if len(text) > 1 else None)
 
 
-@dataclass(frozen=True)
-class Word:
-    """An ordered run of atoms; the empty run is the unit word, printed "1"."""
+class Word(tuple):
+    """An ordered run of atoms, the tuple of them; the empty run is the unit
+    word, printed "1"."""
 
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        # cached on first use, not at construction: the validator builds
-        # many words to look up in a structure and never hashes them
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.atoms,)))
-            return self._hash
-
-    def __reduce__(self):
-        return Word, (self.atoms,)
+    atoms = property(tuple)
 
     @staticmethod
     def of(*factors: Union[Atom, str]) -> "Word":
@@ -122,35 +107,25 @@ class Word:
         for f in factors:
             if isinstance(f, Atom):
                 out.append(f)
-                continue
-            pos = 0
-            while pos < len(f):
-                if f[pos] == "1" and (pos == 0 or not f[pos - 1].isalpha()):
-                    pos += 1  # standalone unit placeholder
-                    continue
-                m = _ATOM_RE.match(f, pos)
-                if m is None:
-                    raise ValueError(f"not a word factor: {f!r}")
-                out.append(atom(m.group()))
-                pos = m.end()
-        return Word(tuple(out))
+            elif _FACTOR_RE.fullmatch(f):
+                out += map(atom, _ATOM_RE.findall(f))
+            else:
+                raise ValueError(f"not a word factor: {f!r}")
+        return Word(out)
 
     @property
     def is_unit(self) -> bool:
-        return not self.atoms
+        return not self
 
     @property
     def sort_key(self) -> tuple:
-        return (len(self.atoms), tuple(a.sort_key for a in self.atoms))
+        return (len(self), tuple(a.sort_key for a in self))
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.atoms + other.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
+        return Word(self + other)
 
     def __str__(self) -> str:
-        return "".join(str(a) for a in self.atoms) if self.atoms else "1"
+        return "".join(map(str, self)) or "1"
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -163,7 +138,7 @@ def reflection_depth(w: Word) -> int:
     """Number of reflection levels above the root atom (``Txy`` has 2)."""
     if w.is_unit:
         raise ValueError("the unit word has no root process")
-    return len(w.atoms) - 1
+    return len(w) - 1
 
 
 @dataclass(frozen=True)
@@ -387,7 +362,7 @@ class _Parser:
             atoms: list[Atom] = []
             while self.peek().kind == "atom":
                 atoms.append(atom(self.advance().text))
-            return Polynomial.of([Word(tuple(atoms))])
+            return Polynomial.of([Word(atoms)])
         raise ExpressionError(f"expected a word or '(', got {tok.text or 'end of input'!r}", tok.pos)
 
 

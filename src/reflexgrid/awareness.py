@@ -20,9 +20,8 @@ then T p for every agent p for a probabilistic one.  So the validator
 builds the words of one prefix for the agents of a rule a batch at a
 time, with C-level ``map`` calls, and the only Python it runs per word is
 the one ``contains_word`` lookup.  Set-up likewise builds the N agent
-atoms in one pass and the factored structure with one ``dict``, so the
-only other Python that runs per agent is ``Atom.__hash__`` where an atom
-is keyed.
+atoms in one pass and the factored structure with one ``dict``.  Atoms
+and words are tuples, so hashing and comparing them runs no Python.
 """
 
 from __future__ import annotations
@@ -91,8 +90,10 @@ def standard_declaration(
 
     Every agent senses the load bus.  ``peer_awareness`` grants every agent
     an image of every agent's policy (its own included), the mutual
-    knowledge a randomized-response design relies on.  ``controller`` adds
-    the sensing central planner and its instruction channel to every agent.
+    knowledge a randomized-response design relies on.  The controller atom
+    ``c`` is always named, so a commanded rule can say which word it
+    lacks; ``controller`` adds the sensing central planner and its
+    instruction channel to every agent.
     """
     agent_atoms = indexed_atoms("a", n_agents)
     peers = frozenset(agent_atoms) if peer_awareness else frozenset()
@@ -101,7 +102,7 @@ def standard_declaration(
         agent_atoms=agent_atoms,
         senses_root=(True,) * n_agents,
         peer_images=(peers,) * n_agents,
-        controller_atom=Atom("c") if controller else None,
+        controller_atom=Atom("c"),
         controller_senses_root=controller,
         controller_channel=(controller,) * n_agents,
     )
@@ -148,24 +149,23 @@ class _FactoredStructure:
         self.agents = agents
 
     def __contains__(self, word: Word) -> bool:
-        atoms = word.atoms
-        n = len(atoms)
+        n = len(word)
         # identity first: the validator's words hold the declaration's own root
-        if n == 0 or n > 3 or (atoms[0] is not self.root and atoms[0] != self.root):
+        if n == 0 or n > 3 or (word[0] is not self.root and word[0] != self.root):
             return False
         if n == 1:
             return True
         if n == 2:  # T a for an agent that senses, or T c
-            entry = self.agents.get(atoms[1])
+            entry = self.agents.get(word[1])
             if entry is not None and entry[0]:
                 return True
-            return self.sensing_controller is not None and atoms[1] == self.sensing_controller
+            return self.sensing_controller is not None and word[1] == self.sensing_controller
         # T p a for p among a's images, or T c a over a channel
-        entry = self.agents.get(atoms[2])
+        entry = self.agents.get(word[2])
         if entry is None:
             return False
         _, images, channel = entry
-        return atoms[1] in images or (channel and atoms[1] == self.controller)
+        return word[1] in images or (channel and word[1] == self.controller)
 
 
 def derive_structure(decl: AwarenessDecl) -> Polynomial:

@@ -216,9 +216,9 @@ class Scenario:
         # the circuit needs a non-negative source on every step, and the
         # planner a positive bus voltage
         d = self.disturbance
-        v_min = self.v_source_base
+        v_min = v_max = self.v_source_base
         if d.t_start < d.t_end:
-            v_min = min(v_min, v_min - d.delta_v)
+            v_min, v_max = sorted((v_min, v_min - d.delta_v))
         if v_min < 0 or (v_min == 0 and self.controller is not None):
             need = "positive with a controller" if self.controller is not None else "non-negative"
             raise ValueError(f"the source voltage falls to {v_min} V; it must stay {need}")
@@ -226,6 +226,15 @@ class Scenario:
             raise ValueError(
                 f"{len(self.agents)} agents for {self.circuit.n_branches} circuit branches"
             )
+        # and the trace finite: the current is largest at the highest source
+        # voltage with every flexible load connected, a bank whose conductance
+        # N times the largest branch's bounds
+        circuit = self.circuit
+        branches = circuit.branches[:1] if circuit.is_homogeneous else circuit.branches
+        g_max = len(self.agents) * max(1.0 / b.r_base + 1.0 / b.r_flex for b in branches)
+        i_max = v_max / (1.0 + circuit.r_source * g_max) * g_max
+        if not i_max < math.inf:
+            raise ValueError(f"the source current could reach {i_max} A at {v_max} V; it must stay finite")
         if self.controller is not None and not self.circuit.is_homogeneous:
             raise ValueError("a controller requires identical circuit branches")
         # the bound of the module docstring, over the fleet's distinct configs

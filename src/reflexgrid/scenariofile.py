@@ -110,8 +110,8 @@ _SCHEMA = {
 }
 # the largest fleet a scenario file may declare: set-up runs Python per
 # distinct config and per required awareness word, and `reflexgrid
-# validate` of scenario A at this count takes about 0.3-0.5 s and 68 MiB on
-# a 2-vCPU VM
+# validate` of scenario A at this count takes about 0.2 s and 60 MiB on a
+# 2-vCPU VM
 MAX_AGENTS = 100_000
 # the longest run a scenario file may declare: the trace holds four 8-byte
 # values per step (v_source, v_load, i_total, n_flex_on), 1 GiB at this bound

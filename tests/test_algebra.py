@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -178,13 +177,16 @@ class TestAtoms:
         assert Atom("a", 1) == atom("a1")
         assert atom("a") == Atom("a")
 
-    def test_cached_hash_is_the_fields_hash(self):
+    def test_atoms_and_words_are_their_tuples(self):
         t, a3 = Atom("T"), Atom("a", 3)
-        assert hash(a3) == hash(("a", 3))
-        assert hash(Word((t, a3))) == hash(((t, a3),))
-        assert hash(replace(a3, index=4)) == hash(("a", 4))
+        assert (a3.letter, a3.index) == ("a", 3)
+        assert a3 == ("a", 3) and hash(a3) == hash(("a", 3))
+        assert t == ("T", None) and hash(t) == hash(("T", None))
+        ta3 = Word((t, a3))
+        assert ta3 == (("T", None), ("a", 3)) and hash(ta3) == hash((("T", None), ("a", 3)))
+        assert type(ta3.atoms) is tuple and ta3.atoms == (t, a3)
         assert Atom("a", 0) not in {Atom("a")}
-        assert Word.of("Ta3") in {Word((t, a3))}
+        assert Word.of("Ta3") in {ta3}
 
     def test_pickles_rehash_in_another_process(self):
         # str hashes differ between processes, so a cached hash must not travel
@@ -197,6 +199,25 @@ class TestAtoms:
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="random")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "True"
+
+    @pytest.mark.parametrize(
+        "text, atoms",
+        [
+            ("Ta12x", (("T", None), ("a", 12), ("x", None))),
+            ("T11", (("T", 11),)),  # digits after a letter are its index
+            ("1T", (("T", None),)),  # a standalone 1 is the unit
+            ("11", ()),
+            ("a1b", (("a", 1), ("b", None))),
+            ("", ()),
+        ],
+    )
+    def test_word_of_text(self, text, atoms):
+        assert Word.of(text) == atoms
+
+    @pytest.mark.parametrize("text", ["2", "T x"])
+    def test_word_of_rejects_text_that_is_not_atoms_and_units(self, text):
+        with pytest.raises(ValueError, match="not a word factor"):
+            Word.of(text)
 
     def test_atom_validation(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,9 @@ class TestValidateAwareness:
         assert validate_awareness(wiring_c, [RuleKind.COMMANDED] * n) == []
         violations = validate_awareness(wiring_a, [RuleKind.PROBABILISTIC] * n)
         assert len(violations) == n * n  # n missing peer images per agent
+        # without a controller, each commanded agent lacks its instruction word
+        violations = validate_awareness(wiring_a, [RuleKind.COMMANDED] * n)
+        assert [str(v.missing) for v in violations] == [f"Tca{i}" for i in range(n)]
 
     def test_violation_message_format(self):
         violations = validate_awareness(standard_declaration(2), [RuleKind.PROBABILISTIC] * 2)

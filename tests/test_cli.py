@@ -1,15 +1,32 @@
 """CLI surface: subcommands, exit codes, and output stability."""
 
 import hashlib
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reflexgrid.agents import RuleKind
+from reflexgrid.awareness import validate_awareness
 from reflexgrid.circuit import CircuitConfig
-from reflexgrid.cli import main
-from reflexgrid.engine import SHIFT_RECORDING_MAX_ENTRIES
-from reflexgrid.scenariofile import MAX_AGENTS, MAX_HORIZON
+from reflexgrid.cli import _metrics_window, main
+from reflexgrid.engine import SHIFT_RECORDING_MAX_ENTRIES, compute_metrics, run as run_engine
+from reflexgrid.output import trace_to_csv
+from reflexgrid.scenariofile import (
+    _AGENT_FIELDS,
+    _SCHEMA,
+    MAX_AGENTS,
+    MAX_HORIZON,
+    ScenarioFileError,
+    _parse_sections,
+    _to_bool,
+    _to_peer_awareness,
+    _to_rule,
+    parse_scenario_text,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -204,6 +221,49 @@ class TestValidate:
         assert re.fullmatch(r"error: line \d+: unknown key 'perod' in section \[agents\]\n", err)
 
 
+# edits of shipped A that command appliances without a [controller], and
+# the agents whose instruction word Tc<agent> is then missing
+COMMANDED_WITHOUT_CONTROLLER = [
+    ("sensing_delay = 3", "sensing_delay = 3\n[agent.3]\nrule = commanded", [3]),
+    ("rule = reactive", "rule = commanded", range(100)),
+]
+
+
+class TestCommandedWithoutController:
+    """A commanded appliance with no controller to command it is an
+    awareness violation like any other: a warning, not a traceback."""
+
+    @staticmethod
+    def edited_a(tmp_path, old, new):
+        text = (SCENARIOS / "scenario_a.cfg").read_text()
+        assert old in text
+        path = tmp_path / "commanded.cfg"
+        path.write_text(text.replace(old, new))
+        return str(path)
+
+    @staticmethod
+    def warnings(agents):
+        return "".join(
+            f"warning: agent {i}: rule commanded requires Tca{i} not present in structure of awareness\n"
+            for i in agents
+        )
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new, agents", COMMANDED_WITHOUT_CONTROLLER)
+    def test_warns_and_exits_0(self, tmp_path, capsys, command, old, new, agents):
+        assert main([command, self.edited_a(tmp_path, old, new)]) == 0
+        assert capsys.readouterr().err == self.warnings(agents)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new, agents", COMMANDED_WITHOUT_CONTROLLER)
+    def test_strict_awareness_exits_3(self, tmp_path, capsys, command, old, new, agents):
+        path = self.edited_a(tmp_path, old, new)
+        assert main([command, path, "--strict-awareness"]) == 3
+        assert capsys.readouterr().err == self.warnings(agents) + (
+            f"error: {len(agents)} awareness violation(s) in strict mode\n"
+        )
+
+
 class TestUnreadableFiles:
     """A path that names a directory, or a file that is not UTF-8, exits 1
     with one error line instead of a traceback."""
@@ -286,6 +346,9 @@ INVALID_B_EDITS = [
     # a source voltage that calibration cannot use
     ("v_base = 10.0", "v_base = nan"),
     ("v_base = 10.0", "v_base = inf"),
+    # a source that could drive a current past the largest float
+    ("v_base = 10.0", "v_base = 1e308"),
+    ("delta_v = 0.3", "delta_v = -1e308"),  # a surge, not a sag
 ]
 INVALID_C_EDITS = [
     # a sag to 0 V leaves the planner no positive bus voltage to act on
@@ -349,6 +412,96 @@ class TestInvalidScenarios:
         path.write_text(text.replace("count = 100", f"count = {MAX_AGENTS}"))
         with pytest.raises(AssertionError, match="homogeneous called"):
             main(["validate", str(path)])
+
+
+# values each scenario-file converter is tried with: the edges of its
+# domain, text it cannot convert, and a few values a fleet can run with
+EDGE_VALUES = {
+    int: ["0", "1", "2", "3", "50", "100", "1000", "-1", "1.5", str(2**31), str(2**62),
+          str(2**63 - 1), str(-(2**63 - 1)), str(2**63), str(10**20)],
+    float: ["0", "-1", "0.01", "0.3", "0.5", "1", "10.0", "100.0", "5e-324", "1e308", "-1e308",
+            "inf", "-inf", "nan", "x"],
+    _to_bool: ["true", "false", "2"],
+    _to_rule: [rule.value for rule in RuleKind] + ["selfish"],
+    _to_peer_awareness: ["none", "full", "some"],
+    str: ["uniform", "random"],
+}
+AGENT_IDS = ["0", "3", "99", "100", "-1", str(2**63)]
+# what one generated scenario may run: the agent-steps of its trace, and the
+# N(N + 1) words that validation checks for a probabilistic fleet
+MAX_AGENT_STEPS = 10**6
+MAX_AWARENESS_WORDS = 10**5
+
+
+def _shipped_sections(name):
+    sections, blocks = _parse_sections((SCENARIOS / name).read_text())
+    assert not blocks
+    return {section: {key: value for key, (value, _) in raw.items()} for section, raw in sections.items()}
+
+
+def _as_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@st.composite
+def edited_scenarios(draw):
+    """Shipped A, B or C with one to three keys of the schema set to edge
+    values, and half the time an [agent.<id>] block of one to three fields."""
+    sections = _shipped_sections(draw(st.sampled_from(["scenario_a.cfg", "scenario_b.cfg", "scenario_c.cfg"])))
+    keys = [(name, key) for name, spec in _SCHEMA.items() for key in spec]
+    for name, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True)):
+        sections.setdefault(name, {})[key] = draw(st.sampled_from(EDGE_VALUES[_SCHEMA[name][key][0]]))
+    if draw(st.booleans()):
+        fields = draw(st.lists(st.sampled_from(list(_AGENT_FIELDS)), min_size=1, max_size=3, unique=True))
+        sections[f"agent.{draw(st.sampled_from(AGENT_IDS))}"] = {
+            key: draw(st.sampled_from(EDGE_VALUES[_AGENT_FIELDS[key][0]])) for key in fields
+        }
+    # a fleet and horizon that the parser accepts are cut to the run budget
+    fleet, run = sections["agents"], sections["run"]
+    count, horizon = _as_int(fleet["count"]), _as_int(run["horizon"])
+    if count is not None and 1 <= count <= MAX_AGENTS:
+        count = min(count, (math.isqrt(4 * MAX_AWARENESS_WORDS + 1) - 1) // 2)
+        fleet["count"] = str(count)
+        if horizon is not None and 1 <= horizon <= MAX_HORIZON:
+            run["horizon"] = str(min(horizon, MAX_AGENT_STEPS // count))
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in raw.items())
+        for name, raw in sections.items()
+    )
+
+
+def _with_invalid_edits(test):
+    for name, edits in (("scenario_b.cfg", INVALID_B_EDITS), ("scenario_c.cfg", INVALID_C_EDITS)):
+        text = (SCENARIOS / name).read_text()
+        for old, new in edits:
+            test = example(text.replace(old, new))(test)
+    return test
+
+
+class TestEditedScenarios:
+    """What builds, runs: every edit of a shipped scenario is rejected when
+    it is parsed, or goes through the whole pipeline without an error."""
+
+    @_with_invalid_edits
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(edited_scenarios())
+    def test_is_rejected_or_runs(self, text):
+        try:
+            bundle = parse_scenario_text(text)
+        except ScenarioFileError:
+            return
+        # validated, run to a finite trace, scored and written as the CLI does
+        validate_awareness(bundle.awareness, bundle.rules)
+        scenario = bundle.scenario
+        trace = run_engine(scenario)
+        assert trace.horizon == scenario.horizon
+        assert all(np.isfinite(column).all() for column in (trace.v_source, trace.v_load, trace.i_total))
+        assert ((trace.n_flex_on >= 0) & (trace.n_flex_on <= scenario.n_agents)).all()
+        compute_metrics(trace, scenario.band, _metrics_window(scenario))
+        trace_to_csv(trace, include_shifts=scenario.record_shifts)
 
 
 class TestAlgebra:

@@ -993,6 +993,20 @@ class TestScenarioValidation:
         # an empty sag applies no voltage
         build_scenario(RuleKind.COMMANDED, controller=True, t_start=5, t_end=5, delta_v=12.0)
 
+    def test_current_must_stay_finite(self):
+        # 1e308 V drives a current past the largest float through 100 agents'
+        # bank with every flexible load on, though not with every one off
+        with pytest.raises(ValueError, match="current could reach inf A at 1e[+]308 V"):
+            build_scenario(n=100, horizon=200, delta_v=-1e308)
+        sc = build_scenario(n=100, horizon=200)
+        with pytest.raises(ValueError, match="current could reach inf A at 1e[+]308 V"):
+            replace(sc, v_source_base=1e308)
+        # a flexible load so small that its conductance overflows, on one branch
+        tiny = CircuitConfig(sc.circuit.r_source, sc.circuit.branches[:-1] + (Branch(100.0, 5e-324),))
+        with pytest.raises(ValueError, match="current could reach nan A"):
+            replace(sc, circuit=tiny)
+        replace(sc, v_source_base=1e300)  # far from the largest float
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0, 0.0])
     def test_controller_target_must_be_finite_and_positive(self, value):
         sc = build_scenario(RuleKind.COMMANDED, n=3, horizon=200, controller=True)

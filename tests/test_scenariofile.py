@@ -168,8 +168,8 @@ def test_controller_section():
     assert ctrl.control_interval == 5
     # the planner steers toward a target inside the scenario's band
     assert bundle.scenario.band.contains(ctrl.v_nominal)
-    # wiring gains the controller atom and channels
-    assert bundle.awareness.controller_atom is not None
+    # wiring gains the sensing controller and its channels
+    assert bundle.awareness.controller_senses_root
     assert all(bundle.awareness.controller_channel)
 
 
