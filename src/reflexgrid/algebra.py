@@ -4,18 +4,19 @@ Values are polynomials over a free non-commutative monoid of words.  Each
 word is an ordered run of atoms: the leftmost atom is a root process, every
 atom to its right is one further level of reflection (``Txy`` reads "y's
 image of x's image of T").  Coefficients are Boolean, so a polynomial is
-just a set of words: addition is set union, multiplication concatenates
-every pair of words, and the empty word acts as the unit ``1``.
+the frozenset of its words: addition is set union, multiplication
+concatenates every pair of words, and the empty word acts as the unit ``1``.
 
 All values are immutable; every operation returns a new value.  Atoms and
-words are tuples, ``(letter, index)`` and the run of atoms, so they hash,
-compare and pickle as the tuples they are.
+words are tuples, ``(letter, index)`` and the run of atoms, and a
+polynomial is a frozenset of words, so each hashes, compares and pickles
+as the plain tuple or frozenset it equals.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 from typing import Container, Iterable, Iterator, Sequence, Union
@@ -141,90 +142,69 @@ def reflection_depth(w: Word) -> int:
     return len(w) - 1
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """A set of words under Boolean coefficients.
+class Polynomial(frozenset):
+    """A set of words under Boolean coefficients: the frozenset of them.
 
     The empty set is the zero polynomial.  Instances are canonical by
     construction: duplicates merge by set semantics and unit placeholders
-    never survive word construction.
+    never survive word construction.  A polynomial equals, and hashes as,
+    the frozenset of its words; the set operators ``| & - ^`` are
+    frozenset's and return plain frozensets, while ``+``, ``*`` and ``**``
+    are the algebra's.  Iteration runs in canonical order.
     """
 
-    words: frozenset[Word] = frozenset()
+    __slots__ = ()
 
     @staticmethod
     def of(words: Iterable[Word]) -> "Polynomial":
-        return Polynomial(frozenset(words))
+        return Polynomial(words)
 
-    @staticmethod
-    def unit() -> "Polynomial":
-        return Polynomial(frozenset([UNIT_WORD]))
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.words
+    words = property(frozenset)
 
     def sorted_words(self) -> list[Word]:
         """Words by atom count, then lexicographically by atom sequence."""
-        return sorted(self.words, key=lambda w: w.sort_key)
+        return sorted(frozenset.__iter__(self), key=lambda w: w.sort_key)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.words | other.words)
+        return Polynomial(self | other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(frozenset(a.concat(b) for a in self.words for b in other.words))
+        return Polynomial(a.concat(b) for a in frozenset.__iter__(self) for b in frozenset.__iter__(other))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
-        result = Polynomial.unit()  # w^0 = 1 for every w, zero included
+        result = UNIT  # w^0 = 1 for every w, zero included
         for _ in range(n):
             result = result * self
         return result
 
-    def contains(self, w: Word) -> bool:
-        return w in self.words
-
-    def __contains__(self, w: Word) -> bool:
-        return self.contains(w)
-
     def __iter__(self) -> Iterator[Word]:
         return iter(self.sorted_words())
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(str(w) for w in self.sorted_words())
+        return " + ".join(map(str, self)) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
 
-ZERO = Polynomial.zero()
-UNIT = Polynomial.unit()
+ZERO = Polynomial()
+UNIT = Polynomial([UNIT_WORD])
 
 
-def normalize(p: Polynomial | Iterable[Word]) -> Polynomial:
+def normalize(p: Iterable[Word]) -> Polynomial:
     """Canonical representative: duplicates merged, unit placeholders gone.
 
-    Accepts any iterable of words for convenience; on a ``Polynomial`` this
-    is the identity (values are canonical by construction), kept so callers
-    can state the idempotence contract explicitly.
+    Accepts any iterable of words; on a ``Polynomial`` this is the identity
+    (values are canonical by construction), kept so callers can state the
+    idempotence contract explicitly.
     """
-    if isinstance(p, Polynomial):
-        return Polynomial(p.words)
-    return Polynomial.of(p)
+    return Polynomial(p)
 
 
 def equals(p: Polynomial, q: Polynomial) -> bool:
-    return normalize(p).words == normalize(q).words
+    return p == q
 
 
 def contains_word(p: Container[Word], w: Word) -> bool:
@@ -257,36 +237,19 @@ def apply_awareness(omega: Polynomial, observers: Sequence[Atom]) -> Polynomial:
 # "T11" is the single atom T11).  Juxtaposition multiplies.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[A-Za-z][0-9]*)|(?P<number>[0-9]+)|(?P<op>[+*^()]))")
+_TOKEN_RE = re.compile(r"(?P<atom>[A-Za-z][0-9]*)|(?P<number>[0-9]+)|(?P<op>[+*^()])|(?P<bad>\S)")
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # 'atom' | 'number' | one of '+ * ^ ( )' | 'end'
-        self.text = text
-        self.pos = pos
+# kind is 'atom', 'number', one of '+ * ^ ( )' or 'end'
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ExpressionError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.lastgroup == "atom":
-            tokens.append(_Token("atom", m.group("atom"), m.start("atom")))
-        elif m.lastgroup == "number":
-            tokens.append(_Token("number", m.group("number"), m.start("number")))
-        else:
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        pos = m.end()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):  # whitespace matches no group and is skipped
+        kind, tok = m.lastgroup, m[0]
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {tok!r}", m.start())
+        tokens.append(_Token(tok if kind == "op" else kind, tok, m.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

@@ -179,9 +179,7 @@ def derive_structure(decl: AwarenessDecl) -> Polynomial:
             words.append(Word((decl.root, a)))
         for peer in decl.peer_images[i]:
             words.append(Word((decl.root, peer, a)))
-        if decl.controller_channel[i]:
-            if c is None:
-                raise ValueError("controller channel without a controller atom")
+        if decl.controller_channel[i]:  # __post_init__ requires c for a channel
             words.append(Word((decl.root, c, a)))
     return Polynomial.of(words)
 

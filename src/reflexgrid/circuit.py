@@ -46,7 +46,18 @@ class CircuitConfig:
         # are frozen, so one count at construction suffices, and a shared
         # branch compares by identity
         first = self.branches[0]
-        object.__setattr__(self, "_homogeneous", self.branches.count(first) == len(self.branches))
+        homogeneous = self.branches.count(first) == len(self.branches)
+        object.__setattr__(self, "_homogeneous", homogeneous)
+        # the bank's conductance with every flexible load connected is at
+        # most N times the largest branch's; it must be a finite float
+        distinct = (first,) if homogeneous else self.branches
+        g_max = len(self.branches) * max(1.0 / b.r_base + 1.0 / b.r_flex for b in distinct)
+        if not g_max < math.inf:
+            raise ValueError(
+                f"r_base and r_flex give {len(self.branches)} branches a conductance of up to "
+                f"{g_max} S; it must stay finite"
+            )
+        object.__setattr__(self, "g_max", g_max)
 
     @staticmethod
     def homogeneous(n: int, r_source: float, r_base: float, r_flex: float) -> "CircuitConfig":

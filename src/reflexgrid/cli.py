@@ -182,7 +182,7 @@ def _cmd_algebra(args) -> int:
             base = algebra.parse(args.base)
             observers = [algebra.atom(text) for text in args.observers]
             print(algebra.apply_awareness(base, observers))
-    except (algebra.ExpressionError, ValueError) as exc:
+    except ValueError as exc:  # an ExpressionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK

@@ -227,12 +227,10 @@ class Scenario:
                 f"{len(self.agents)} agents for {self.circuit.n_branches} circuit branches"
             )
         # and the trace finite: the current is largest at the highest source
-        # voltage with every flexible load connected, a bank whose conductance
-        # N times the largest branch's bounds
-        circuit = self.circuit
-        branches = circuit.branches[:1] if circuit.is_homogeneous else circuit.branches
-        g_max = len(self.agents) * max(1.0 / b.r_base + 1.0 / b.r_flex for b in branches)
-        i_max = v_max / (1.0 + circuit.r_source * g_max) * g_max
+        # voltage with every flexible load connected, a bank of conductance
+        # at most the circuit's g_max
+        g_max = self.circuit.g_max
+        i_max = v_max / (1.0 + self.circuit.r_source * g_max) * g_max
         if not i_max < math.inf:
             raise ValueError(f"the source current could reach {i_max} A at {v_max} V; it must stay finite")
         if self.controller is not None and not self.circuit.is_homogeneous:

@@ -96,13 +96,29 @@ class TestParser:
         assert parse("1*1") == UNIT
 
     @pytest.mark.parametrize(
-        "text",
-        ["T(1+x", "x^y", "x^", "+x", "x+", "()", "x)", "2x", "x^-1", "a_b"],
+        "text, message, position",
+        [
+            ("T(1+x", "expected ')'", 5),
+            ("x^y", "exponent must be a non-negative integer", 2),
+            ("x^", "exponent must be a non-negative integer", 2),
+            ("+x", "expected a word or '(', got '+'", 0),
+            ("x+", "expected a word or '(', got 'end of input'", 2),
+            ("()", "expected a word or '(', got ')'", 1),
+            ("x)", "unexpected ')'", 1),
+            ("2x", "only the literals '0' and '1' are allowed, got '2'", 0),
+            ("x^-1", "unexpected character '-'", 2),
+            ("a_b", "unexpected character '_'", 1),
+            ("  x $", "unexpected character '$'", 4),
+            # the end of input sits past trailing whitespace
+            ("x  +  ", "expected a word or '(', got 'end of input'", 6),
+            ("", "expected a word or '(', got 'end of input'", 0),
+        ],
     )
-    def test_syntax_errors_carry_position(self, text):
+    def test_syntax_errors_carry_position(self, text, message, position):
         with pytest.raises(ExpressionError) as exc:
             parse(text)
-        assert exc.value.position >= 0
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
     def test_whitespace_ignored(self):
         assert parse(" T ( 1 + x ) ") == parse("T(1+x)")
@@ -149,6 +165,20 @@ class TestOperations:
         with pytest.raises(ValueError):
             reflection_depth(Word())
 
+    def test_polynomial_is_the_frozenset_of_its_words(self):
+        p = words("Tx", "T", "Tyx")
+        as_set = frozenset({Word.of("T"), Word.of("Tx"), Word.of("Tyx")})
+        assert p == as_set and hash(p) == hash(as_set)
+        assert type(p.words) is frozenset and p.words == as_set
+        assert list(p) == [Word.of("T"), Word.of("Tx"), Word.of("Tyx")]  # canonical order
+        assert Word.of("Tx") in p and Word() not in p and len(p) == 3
+        assert not ZERO and ZERO == frozenset() and UNIT == {Word()}
+        q = words("x")
+        for value in (p + q, p * q, q**2, q**0):
+            assert type(value) is Polynomial
+        # frozenset's own operators stay frozenset's
+        assert type(p | q) is frozenset
+
     def test_normalize(self):
         assert normalize([Word.of("T", "1", "1", "x")]) == words("Tx")
         assert normalize([Word.of("1", "1")]) == UNIT
@@ -191,14 +221,16 @@ class TestAtoms:
     def test_pickles_rehash_in_another_process(self):
         # str hashes differ between processes, so a cached hash must not travel
         src = os.path.dirname(os.path.dirname(reflexgrid.__file__))
-        data = pickle.dumps({Word.of("Ta3")}).hex()
+        data = pickle.dumps(({Word.of("Ta3")}, parse("T(1+x)a3"))).hex()
         code = (
-            "import pickle; from reflexgrid.algebra import Word; "
-            f"print(Word.of('Ta3') in pickle.loads(bytes.fromhex('{data}')))"
+            "import pickle; from reflexgrid.algebra import Polynomial, Word, parse; "
+            f"words, p = pickle.loads(bytes.fromhex('{data}')); "
+            "print(Word.of('Ta3') in words, type(p) is Polynomial, p == parse('Ta3 + Txa3'), "
+            "Word.of('Txa3') in p, hash(p) == hash(p.words))"
         )
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="random")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "True"
+        assert out.stdout.split() == ["True"] * 5
 
     @pytest.mark.parametrize(
         "text, atoms",

@@ -82,6 +82,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite and positive"):
             Branch(r_base, r_flex)
 
+    @pytest.mark.parametrize("r_base, r_flex", [(5e-324, 100.0), (1e-308, 50.0), (100.0, 5e-324),
+                                                (100.0, 5e-307)])
+    def test_conductance_past_the_largest_float_rejected(self, r_base, r_flex):
+        # each branch is valid; 100 of them in parallel are not
+        Branch(r_base, r_flex)
+        with pytest.raises(ValueError, match="r_base and r_flex give 100 branches"):
+            CircuitConfig.homogeneous(100, 0.08, r_base, r_flex)
+        with pytest.raises(ValueError, match="r_base and r_flex give 100 branches"):
+            CircuitConfig(0.08, (Branch(100.0, 50.0),) * 99 + (Branch(r_base, r_flex),))
+
+    def test_g_max_is_n_times_the_largest_branch_conductance(self):
+        assert CircuitConfig.homogeneous(100, 0.08, 100.0, 1e-306).g_max == 100 * (1 / 100.0 + 1 / 1e-306)
+        assert CircuitConfig(1.0, (Branch(4.0, 4.0), Branch(1.0, 2.0), Branch(2.0, 2.0))).g_max == 3 * 1.5
+
     def test_dimension_mismatch(self):
         config = CircuitConfig.homogeneous(3, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):

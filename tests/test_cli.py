@@ -319,8 +319,16 @@ class TestUnreadableFiles:
         assert err.startswith("error: row 1: ") and err.count("\n") == 1
 
 
+# resistances so small that the fleet's conductance overflows a float
+TINY_RESISTANCE_EDITS = [
+    ("r_base = 100.0", "r_base = 5e-324"),
+    ("r_base = 100.0", "r_base = 1e-308"),
+    ("r_flex = 50.0", "r_flex = 5e-324"),
+    ("r_flex = 50.0", "r_flex = 5e-307"),
+]
 # edits to shipped scenario B that each make it invalid
 INVALID_B_EDITS = [
+    *TINY_RESISTANCE_EDITS,
     ("r_source = 0.08", "r_source = -0.08"),
     ("r_flex = 50.0", "r_flex = 0"),
     ("r_base = 100.0", "r_base = -1"),
@@ -365,15 +373,18 @@ class TestInvalidScenarios:
     anything runs."""
 
     @staticmethod
-    def exits_1(tmp_path, capsys, command, shipped, old, new):
+    def exits_1(tmp_path, capsys, command, shipped, old, new, band="ratio = 0.002"):
+        """The error line of ``command`` on the shipped scenario so edited,
+        with its band set by ``band``."""
         text = (SCENARIOS / shipped).read_text()
-        assert old in text
+        assert old in text and "ratio = 0.002" in text
         path = tmp_path / "bad.cfg"
-        path.write_text(text.replace(old, new))
+        path.write_text(text.replace(old, new).replace("ratio = 0.002", band))
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("old, new", INVALID_B_EDITS)
@@ -384,6 +395,27 @@ class TestInvalidScenarios:
     @pytest.mark.parametrize("old, new", INVALID_C_EDITS)
     def test_invalid_edit_of_c_exits_1(self, tmp_path, capsys, command, old, new):
         self.exits_1(tmp_path, capsys, command, "scenario_c.cfg", old, new)
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("band", ["ratio = 0.002", "v_low = 8.6\nv_high = 8.64"])
+    @pytest.mark.parametrize("old, new", TINY_RESISTANCE_EDITS)
+    def test_tiny_resistance_is_named(self, tmp_path, capsys, command, band, old, new):
+        # the circuit is checked before calibration, so explicit edges do
+        # not turn this into an error about the band
+        err = self.exits_1(tmp_path, capsys, command, "scenario_a.cfg", old, new, band)
+        assert err == (
+            "error: r_base and r_flex give 100 branches a conductance of up to inf S; "
+            "it must stay finite\n"
+        )
+
+    @pytest.mark.parametrize("band", ["ratio = 0.002", "v_low = 8.6\nv_high = 8.64"])
+    def test_largest_finite_conductance_runs(self, tmp_path, capsys, band):
+        # 100 branches of 1/1e-306 S: G = 1e308, still a float
+        text = (SCENARIOS / "scenario_a.cfg").read_text()
+        path = tmp_path / "tiny.cfg"
+        path.write_text(text.replace("r_flex = 50.0", "r_flex = 1e-306").replace("ratio = 0.002", band))
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.fixture
     def no_circuit(self, monkeypatch):
