@@ -208,7 +208,11 @@ def equals(p: Polynomial, q: Polynomial) -> bool:
 
 
 def contains_word(p: Container[Word], w: Word) -> bool:
-    """Whether ``w`` is a word of ``p``, a polynomial or any other container of words."""
+    """Whether ``w`` is a word of ``p``, a polynomial or any other container of words.
+
+    ``w`` may be given as the plain tuple of its atoms, which hashes and
+    compares as its ``Word``.
+    """
     return w in p
 
 

@@ -11,17 +11,20 @@ words, but in the factored form the paper writes,
 T(1 + [c senses T]·c + Σ_a ([a senses T] + images(a) + [a has a channel]·c)·a),
 deciding whether a word is present costs a few lookups in the wiring itself.  So
 validation takes time linear in the words required and memory linear in the
-agents.  ``derive_structure`` still builds the full polynomial; it is the
-reference that the factored membership is tested against.
+agents and the violations found.  ``derive_structure`` still builds the full
+polynomial; it is the reference that the factored membership is tested
+against.
 
 Every word a rule requires of agent a ends in a, after a prefix that does
 not depend on a: T for a reactive agent, T c for a commanded one, and T
 then T p for every agent p for a probabilistic one.  So the validator
-builds the words of one prefix for the agents of a rule a batch at a
-time, with C-level ``map`` calls, and the only Python it runs per word is
-the one ``contains_word`` lookup.  Set-up likewise builds the N agent
-atoms in one pass and the factored structure with one ``dict``.  Atoms
-and words are tuples, so hashing and comparing them runs no Python.
+zips each prefix with the atoms of the rule's agents and looks every word
+up as zip's tuple of its atoms, which equals the ``Word``.  zip reuses
+that tuple, so a present word allocates nothing and the only Python it
+runs is the one ``contains_word`` lookup; only a missing word is built as
+a ``Word``, for its violation.  Set-up likewise builds the N agent atoms
+in one pass and the factored structure with one ``dict``.  Atoms and
+words are tuples, so hashing and comparing them runs no Python.
 """
 
 from __future__ import annotations
@@ -108,11 +111,6 @@ def standard_declaration(
     )
 
 
-# words the validator builds and looks up at a time, which bounds its
-# memory on a large fleet
-_BATCH = 4096
-
-
 class _FactoredStructure:
     """Membership in ``derive_structure(decl)`` without listing its words.
 
@@ -151,21 +149,22 @@ class _FactoredStructure:
     def __contains__(self, word: Word) -> bool:
         n = len(word)
         # identity first: the validator's words hold the declaration's own root
-        if n == 0 or n > 3 or (word[0] is not self.root and word[0] != self.root):
+        if not n or (word[0] is not self.root and word[0] != self.root):
             return False
-        if n == 1:
-            return True
+        # first, as full peer awareness requires N² of these N(N+1) words:
+        # T p a for p among a's images, or T c a over a channel
+        if n == 3:
+            entry = self.agents.get(word[2])
+            if entry is None:
+                return False
+            _, images, channel = entry
+            return word[1] in images or (channel and word[1] == self.controller)
         if n == 2:  # T a for an agent that senses, or T c
             entry = self.agents.get(word[1])
             if entry is not None and entry[0]:
                 return True
             return self.sensing_controller is not None and word[1] == self.sensing_controller
-        # T p a for p among a's images, or T c a over a channel
-        entry = self.agents.get(word[2])
-        if entry is None:
-            return False
-        _, images, channel = entry
-        return word[1] in images or (channel and word[1] == self.controller)
+        return n == 1
 
 
 def derive_structure(decl: AwarenessDecl) -> Polynomial:
@@ -249,15 +248,11 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
         if count < n:
             ids = tuple(compress(ids, map(is_, rules, repeat(rule))))
             owners = tuple(map(decl.agent_atoms.__getitem__, ids))
-        # the words of one prefix for every agent of the rule at a time, so
-        # that memory stays linear in the agents
+        # each word of a prefix is looked up as zip's tuple of its atoms,
+        # which zip reuses, so only a missing word becomes a Word
         for prefix in _prefixes(rule, decl.root, distinct_atoms, decl.controller_atom):
-            for start in range(0, len(owners), _BATCH):
-                words = list(map(Word, zip(*map(repeat, prefix), owners[start : start + _BATCH])))
-                present = list(map(contains_word, repeat(structure), words))
-                if not all(present):
-                    missing += (
-                        (ids[start + k], words[k]) for k in compress(range(len(words)), map(not_, present))
-                    )
+            words = zip(*map(repeat, prefix), owners)
+            absent = map(not_, map(contains_word, repeat(structure), words))
+            missing += ((ids[k], Word(prefix + (owners[k],))) for k in compress(range(len(owners)), absent))
     missing.sort(key=lambda found: (found[0], found[1].sort_key))
     return [Violation(agent_id=i, rule=rules[i], missing=word) for i, word in missing]

@@ -1,5 +1,6 @@
 """Wiring-to-polynomial derivation and the rule-requirement validator."""
 
+import gc
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -206,7 +207,36 @@ def wirings(draw):
 @given(wirings())
 def test_validate_matches_sorted_reference(wiring):
     decl, rules = wiring
-    assert validate_awareness(decl, rules) == sorted_violations(decl, rules)
+    violations = validate_awareness(decl, rules)
+    assert violations == sorted_violations(decl, rules)
+    assert all(type(v.missing) is Word for v in violations)
+
+
+N_STANDARD = 6
+STANDARD_WIRINGS = {
+    "selfish": standard_declaration(N_STANDARD),
+    "peer": standard_declaration(N_STANDARD, peer_awareness=True),
+    "controller": standard_declaration(N_STANDARD, controller=True),
+}
+MIXED_RULES = [RuleKind.PROBABILISTIC, RuleKind.COMMANDED, RuleKind.PASSIVE, RuleKind.REACTIVE] * 2
+
+
+@pytest.mark.parametrize("wiring", list(STANDARD_WIRINGS))
+@pytest.mark.parametrize("rule", [*RuleKind, None], ids=lambda r: "mixed" if r is None else r.value)
+def test_standard_wirings_match_per_word_reference(wiring, rule):
+    decl = STANDARD_WIRINGS[wiring]
+    rules = MIXED_RULES[:N_STANDARD] if rule is None else [rule] * N_STANDARD
+    violations = validate_awareness(decl, rules)
+    assert violations == sorted_violations(decl, rules)
+    # each missing word is a Word of Atoms, not the tuple it was looked up as
+    assert all(type(v.missing) is Word and all(type(a) is Atom for a in v.missing) for v in violations)
+    if rule is not None:
+        n = N_STANDARD
+        expected = {
+            RuleKind.PROBABILISTIC: 0 if wiring == "peer" else n * n,
+            RuleKind.COMMANDED: 0 if wiring == "controller" else n,
+        }.get(rule, 0)
+        assert len(violations) == expected
 
 
 def test_one_module_level_lookup_per_required_word(monkeypatch):
@@ -242,6 +272,8 @@ def test_factored_membership_matches_derived_structure(data):
     structure = _FactoredStructure(decl)
     for word in probes:
         assert (word in structure) == (word in words), word
+        # the validator looks words up as plain tuples of their atoms
+        assert contains_word(structure, tuple(word)) == contains_word(words, tuple(word)) == (word in words)
 
 
 def test_repeated_atoms_are_looked_up_once(monkeypatch):
@@ -299,6 +331,32 @@ def test_full_peer_validation_memory_is_linear_in_agents():
     assert peak < 2 * 2**20
 
 
+def test_satisfied_words_set_off_no_garbage_collection():
+    # a Word built per required word sets off about a thousand collections
+    # over these 1 001 000 lookups; a satisfied word should allocate nothing
+    n = 1000
+    decl = standard_declaration(n, peer_awareness=True)
+    rules = [RuleKind.PROBABILISTIC] * n
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        violations = validate_awareness(decl, rules)
+    finally:
+        gc.callbacks.remove(count)
+        if not was_enabled:
+            gc.disable()
+    assert violations == []
+    assert len(collections) < 20
+
+
 def test_shipped_b_looks_up_each_required_word_once(monkeypatch):
     # the benchmark pins N(N+1) lookups per validation of B
     bundle = load_scenario(SCENARIOS / "scenario_b.cfg")
@@ -338,11 +396,11 @@ SHARED_ATOM_DECL = AwarenessDecl(
         [RuleKind.COMMANDED, RuleKind.PASSIVE, RuleKind.PROBABILISTIC, RuleKind.REACTIVE],
     ],
 )
-@pytest.mark.parametrize("batch", [1, 3, reflexgrid.awareness._BATCH])
-def test_shared_atoms_and_missing_wiring_match_per_word_reference(monkeypatch, rules, batch):
-    monkeypatch.setattr(reflexgrid.awareness, "_BATCH", batch)  # words looked up at a time
+def test_shared_atoms_and_missing_wiring_match_per_word_reference(rules):
     violations = validate_awareness(SHARED_ATOM_DECL, rules)
     assert violations == sorted_violations(SHARED_ATOM_DECL, rules)
+    # a plain tuple of atoms equals its Word, so the type is checked apart
+    assert all(type(v.missing) is Word for v in violations)
     # a2 is wired to nothing, so every word its rule requires is missing
     expected_a2 = {
         RuleKind.PASSIVE: 0,
