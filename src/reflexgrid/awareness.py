@@ -23,8 +23,8 @@ up as zip's tuple of its atoms, which equals the ``Word``.  zip reuses
 that tuple, so a present word allocates nothing and the only Python it
 runs is the one ``contains_word`` lookup; only a missing word is built as
 a ``Word``, for its violation.  Set-up likewise builds the N agent atoms
-in one pass and the factored structure with one ``dict``.  Atoms and
-words are tuples, so hashing and comparing them runs no Python.
+in one pass and the factored structure with one ``dict`` of positions.
+Atoms and words are tuples, so hashing and comparing them runs no Python.
 """
 
 from __future__ import annotations
@@ -114,37 +114,36 @@ def standard_declaration(
 class _FactoredStructure:
     """Membership in ``derive_structure(decl)`` without listing its words.
 
-    Per agent atom it keeps whether the atom senses the root, the atoms it
-    holds images of, and whether it has a controller channel, keyed in the
-    order the atoms first appear.  The image sets are the declaration's own
-    frozensets, not copies, unless several agents share one atom: the
-    structure then holds the union of their wirings, as ``derive_structure``
-    does, and only those agents are visited again.
+    It keeps the declaration's own per-agent tuples (whether each agent
+    senses the root, the atoms it holds images of, and whether it has a
+    controller channel) and maps each agent atom to its position, keyed in
+    the order the atoms first appear.  The positions are ints, which the
+    cyclic garbage collector does not track, so a large fleet sets off no
+    collection here.  Only when several agents share one atom are the
+    tuples copied to lists, and the atom's position then holds the union of
+    their wirings, as ``derive_structure`` does; only those agents are
+    visited again.
     """
 
-    __slots__ = ("root", "controller", "sensing_controller", "agents")
+    __slots__ = ("root", "controller", "sensing_controller", "index", "senses", "images", "channel")
 
     def __init__(self, decl: AwarenessDecl):
         self.root = decl.root
         self.controller = decl.controller_atom
         self.sensing_controller = decl.controller_atom if decl.controller_senses_root else None
         atoms = decl.agent_atoms
-        wiring = tuple(zip(decl.senses_root, decl.peer_images, decl.controller_channel))
-        agents: dict[Atom, tuple[bool, frozenset[Atom], bool]] = dict(zip(atoms, wiring))
-        if len(agents) < len(atoms):
+        senses, images, channel = decl.senses_root, decl.peer_images, decl.controller_channel
+        index = dict(zip(atoms, range(len(atoms))))  # each atom's last position
+        if len(index) < len(atoms):
+            senses, images, channel = list(senses), list(images), list(channel)
             shared = {a for a, count in Counter(atoms).items() if count > 1}
-            merged: dict[Atom, tuple[bool, frozenset[Atom], bool]] = {}
             for i in compress(range(len(atoms)), map(shared.__contains__, atoms)):
-                senses, images, channel = wiring[i]
-                prior = merged.get(atoms[i])
-                if prior is not None:
-                    was_sensing, had_images, had_channel = prior
-                    senses = senses or was_sensing
-                    images = images if images is had_images else images | had_images
-                    channel = channel or had_channel
-                merged[atoms[i]] = (senses, images, channel)
-            agents.update(merged)
-        self.agents = agents
+                j = index[atoms[i]]
+                if i != j:
+                    senses[j] = senses[j] or senses[i]
+                    images[j] = images[j] if images[i] is images[j] else images[j] | images[i]
+                    channel[j] = channel[j] or channel[i]
+        self.index, self.senses, self.images, self.channel = index, senses, images, channel
 
     def __contains__(self, word: Word) -> bool:
         n = len(word)
@@ -154,14 +153,13 @@ class _FactoredStructure:
         # first, as full peer awareness requires N² of these N(N+1) words:
         # T p a for p among a's images, or T c a over a channel
         if n == 3:
-            entry = self.agents.get(word[2])
-            if entry is None:
+            i = self.index.get(word[2])
+            if i is None:
                 return False
-            _, images, channel = entry
-            return word[1] in images or (channel and word[1] == self.controller)
+            return word[1] in self.images[i] or (self.channel[i] and word[1] == self.controller)
         if n == 2:  # T a for an agent that senses, or T c
-            entry = self.agents.get(word[1])
-            if entry is not None and entry[0]:
+            i = self.index.get(word[1])
+            if i is not None and self.senses[i]:
                 return True
             return self.sensing_controller is not None and word[1] == self.sensing_controller
         return n == 1
@@ -233,7 +231,7 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
         raise ValueError("one rule per agent is required")
     structure = _FactoredStructure(decl)
     # without repeated atoms no required word repeats, so each is looked up once
-    distinct_atoms = tuple(structure.agents)
+    distinct_atoms = tuple(structure.index)
     missing: list[tuple[int, Word]] = []
     # the agents of each rule, found by C-level scans (hashing N enum members
     # would call Python once per agent)

@@ -1,31 +1,40 @@
 """Deterministic discrete-time simulation loop and stability metrics.
 
-Each step: compute the source voltage from the disturbance schedule, hand
-every agent the load-bus voltage recorded ``sensing_delay`` steps ago, let
-the controller (if any) deposit instructions, advance every agent, then
-solve the circuit and record.  Agent randomness comes from one
-counter-based Philox stream keyed by the scenario seed: step ``t`` reads
-entries [4t, 4t + N) of it, agent id = position in the block.  Draws do
-not depend on evaluation order or on which rules consume them, but
-neighbouring steps overlap: agent i at step t + 1 reads the entry that
-agent i + 4 read at step t.
+Each step of ``run``'s one loop: compute the source voltage from the
+disturbance schedule, hand every agent the load-bus voltage recorded
+``sensing_delay`` steps ago, let the controller (if any) deposit
+instructions, advance every agent, then solve the circuit and record.
+``run`` keeps only that per-step core; what runs once per run, per
+free-run block patch, per dispatching step, per checkpoint or per copy is
+a method of ``_Fleet`` (the cohorts' constants and state) or ``_Watch``
+(the limit-cycle watch), each called from the loop.  A free-run block does
+not loop over its own steps, because nearly every step of a probabilistic
+fleet falls inside one and a second loop would repeat the sensing and
+recording.  Agent randomness comes from one counter-based Philox stream
+keyed by the scenario seed: step ``t`` reads entries [4t, 4t + N) of it,
+agent id = position in the block.  Draws do not depend on evaluation order
+or on which rules consume them, but neighbouring steps overlap: agent i at
+step t + 1 reads the entry that agent i + 4 read at step t.
 
-The agent update here is a vectorized twin of ``agents.agent_step``; the
-test suite asserts step-for-step equality between the two.  A quiet step,
-where no sensing agent is outside its thresholds and no instruction is
-issued, skips rule dispatch: no shift moves and only the cycle machine and
-the circuit advance.  Its draws are fetched but not gathered to cohorts.
+The agent update, ``_Fleet.react``, is a vectorized twin of
+``agents.agent_step``; the test suite asserts step-for-step equality
+between the two.  A quiet step, where no sensing agent is outside its
+thresholds and no instruction is issued, skips rule dispatch: no shift
+moves and only the cycle machine and the circuit advance.  Its draws are
+fetched but not gathered to cohorts.
 
 The circuit depends only on the cohort connection vector, and runs revisit
 few of them, so each run memoizes the total conductance and the connected
-count per vector (keyed on its bytes).  A miss computes them by the same
-expressions, the pairwise sum of the same N values in agent order, so a
-hit returns the bits the step would compute.  The memo is local to the
-run and cleared when it would exceed ``_ENGINE_CACHE_BYTES``, counting
-each entry as its key plus 256 bytes.  That byte budget also bounds the
-free-run block rows and the limit-cycle watch's checkpoints below.
+count per vector (keyed on its bytes) in ``run``.  A miss computes them by
+the same expressions, the pairwise sum of the same N values in agent
+order, so a hit returns the bits the step would compute.  The memo is local
+to the run and cleared when it would exceed ``_ENGINE_CACHE_BYTES``,
+counting each entry as its key plus 256 bytes.  That byte budget also
+bounds the free-run block rows and the limit-cycle watch's checkpoints
+below.
 
-The cycle machine keeps absolute steps instead of a window position: an
+The cycle machine (``_Fleet``'s nxt and run_end, stepped by
+``_cycle_step``) keeps absolute steps instead of a window position: an
 agent is connected at step t iff t < run_end, and its next window opens at
 step nxt.  A shift move moves nxt by the same amount; a window that opens
 (nxt <= t, one step late after an advance) while the agent is idle starts
@@ -34,54 +43,55 @@ is the ``(t - phase - shift) % period < on_steps`` rule of ``agent_step``
 with no per-step modulo.
 
 Every int64 the cycle machine computes stays below horizon + 3 * period.
-After step t a cohort's next window opens at nxt <= t + period + 1 (a
-move shifts it by one step, and a window that opens moves it on by a
-period), and its run ends at run_end < t + period.  A free-run block
-opened at t computes nxt + period for every cohort and ends a run
-started by that window at most on_steps later, below t + 3 * period; a
-patch's ``_move_in_block`` returns values inside the same bounds.  A
-shift moves at most one step per step, so its magnitude stays below
-horizon + 1, and the limit-cycle watch's room to the clip, max_shift
-minus a shift, below horizon + max_shift + 1.  ``Scenario`` therefore
-requires horizon + 3 * max(period) + max(max_shift) < 2**63, with the
-maxima taken over the fleet's distinct ``AgentConfig`` objects.
+After step t a cohort's next window opens at nxt <= t + period + 1 (a move
+shifts it by one step, and a window that opens moves it on by a period),
+and its run ends at run_end < t + period.  A free-run block opened at t
+computes nxt + period for every cohort and ends a run started by that
+window at most on_steps later, below t + 3 * period; a patch's
+``_move_in_block`` returns values inside the same bounds.  A shift moves at
+most one step per step, so its magnitude stays below horizon + 1, and the
+limit-cycle watch's room to the clip, max_shift minus a shift, below
+horizon + max_shift + 1.  ``Scenario`` therefore requires horizon + 3 *
+max(period) + max(max_shift) < 2**63, with the maxima taken over the
+fleet's distinct ``AgentConfig`` objects.
 
 A step is free when it moves no shift, issues no instruction and touches
 no latch state: it is quiet, or it triggers but no agent reacts (no draw
 hits).  On a free step nothing but time reaches the cycle machine, so
 fleets with draws or a controller (the others are left to the limit-cycle
-watch below) advance it in free-run blocks: from a
-free step t, the connection vectors of steps [t, t + m) come from a few
-array operations on (nxt, run_end).  With m below every period at most one
-window opens per cohort in the block, at max(nxt, t), and it starts a run
-iff the current one has ended by then, which is what stepping the machine
-m times decides.  So a cohort is connected on the steps before its
-run_end and on at most one window, and the block takes these bounds
-relative to t and clipped to [0, m]: clipping changes no comparison with
-a step of the block, so the (m, k) comparisons run on the narrowest
-unsigned type that holds m (one byte for m < 256) instead of on int64
-absolute steps.  Every step in the block still makes its own trigger
-test, its draws call and, on a control step, its plan, in step order.
+watch below) advance it in free-run blocks, which ``run`` opens with
+``_free_run_rows`` and closes with ``_free_run_state``: from a free step
+t, the connection vectors of steps [t, t + m) come from a few array
+operations on (nxt, run_end).  With m below every period at most one window
+opens per cohort in the block, at max(nxt, t), and it starts a run iff the
+current one has ended by then, which is what stepping the machine m times
+decides.  So a cohort is connected on the steps before its run_end and on
+at most one window, and the block takes these bounds relative to t and
+clipped to [0, m]: clipping changes no comparison with a step of the
+block, so the (m, k) comparisons run on the narrowest unsigned type that
+holds m (one byte for m < 256) instead of on int64 absolute steps.  Every
+step in the block still makes its own trigger test, its draws call and, on
+a control step, its plan, in step order.
 
-A reacting step inside a block, one where only plain probabilistic
-cohorts move, patches the block instead of closing it.  The state arrays
-hold each untouched cohort's state before the block's first step blk_t.
-A moving cohort is free-run to t, its window moved, and step t run by the
-one-step machine, which opens a window one step late after an advance.
-That state, written back, is the state before t + 1 and has nxt >= t + 1,
-so max(nxt, blk_t) = nxt and the closed form over the rest of the block,
-at its close or at a later patch, treats the cohort exactly as a machine
-that starts at t + 1; its column of the block is rewritten from t on.  A
-block patches at most as many cohorts as it has steps, so that patching
-costs a few scalar operations per step.  Any other step that is not free
-closes the block and dispatches with the inputs already fetched, after
-the machine state is advanced by the steps the block committed: reactive
-cohorts all move on every trigger, latched ones need their episode state
-and commanded ones their override, and those moves run across all
-cohorts at once.  m starts at 1 (such a block is just the one-step
-machine), doubles after a block that ran to its end, drops back to 1
-after a stop, and stays below every period and within the engine's cache
-bytes.
+A reacting step inside a block, one where only plain probabilistic cohorts
+move, patches the block instead of closing it (``_Fleet.patch``).  The
+state arrays hold each untouched cohort's state before the block's first
+step blk_t.  A moving cohort is free-run to t, its window moved, and step t
+run by the one-step machine, which opens a window one step late after an
+advance.  That state, written back, is the state before t + 1 and has nxt
+>= t + 1, so max(nxt, blk_t) = nxt and the closed form over the rest of
+the block, at its close or at a later patch, treats the cohort exactly as
+a machine that starts at t + 1; its column of the block is rewritten from
+t on.  A block patches at most as many cohorts as it has steps, so that
+patching costs a few scalar operations per step.  Any other step that is
+not free closes the block and dispatches (``_Fleet.react``) with the
+inputs already fetched, after the machine state is advanced by the steps
+the block committed: reactive cohorts all move on every trigger, latched
+ones need their episode state and commanded ones their override, and those
+moves run across all cohorts at once.  m starts at 1 (such a block is just
+the one-step machine), doubles after a block that ran to its end, drops
+back to 1 after a stop, and stays below every period and within the
+engine's cache bytes.
 
 Passive and reactive agents with equal configurations and equal circuit
 branches get equal inputs on every step, so they stay in equal states: the
@@ -92,41 +102,41 @@ result is bit-identical to simulating every agent.
 
 Agents of a scenario file share their ``AgentConfig`` objects, so the work
 before step 0 runs per distinct object, not per agent: ``_cohorts`` gives
-each distinct config and branch object its value class and lumps agents
-by one ``np.unique`` over their class pairs, and each per-cohort field is
-read once per distinct config and spread to the cohorts by one index.
-The remaining passes over the N agents (identities, class lookups, the
-resistances) are C-level ``map`` calls.
+each distinct config and branch object its value class and lumps agents by
+one ``np.unique`` over their class pairs, and ``_Fleet`` reads each
+per-cohort field once per distinct config and spreads it to the cohorts by
+one index.  The remaining passes over the N agents (identities, class
+lookups, the resistances) are C-level ``map`` calls.
 
 A fleet without probabilistic agents or a controller is a deterministic
 machine, and away from the ``max_shift`` clip it does not depend on
-absolute time or on absolute shifts: windows and runs only matter
-relative to t.  Between source-voltage changes the engine therefore
-watches for the state after a step, so reduced, to equal the state after
-an earlier step t1.  The candidates for t1 are every power-of-two
-checkpoint since the last restart, not only Brent's latest one, so a
-cycle that starts at mu is found P steps after the first checkpoint taken
-inside it, near mu + P (as with Nivasch's stack of earlier values); the
-full comparison runs only when the step's voltage equals a checkpoint's.
-The checkpoints hold at most the engine's cache bytes, the oldest
-dropped first, so a fleet whose keys do not fit keeps only the latest, as
-Brent does.  When the state after t2 = t1 + P repeats it, every later step
-repeats the period (t1, t2] with each cohort's shifts moved on by its
-drift over the period, so the engine copies that period forward, whole
-periods up to the next source-voltage change and to the horizon (where a
-partial last period is copied too), and never so far that a drifting
-cohort's shifts would reach the clip.  The copied floats are the ones the
-same steps would compute from the same inputs, so the trace is
-bit-identical; the simulation then resumes from the state advanced by the
-copied steps.  A controller fleet is never copied, so the planner runs on
-every control step.
+absolute time or on absolute shifts: windows and runs only matter relative
+to t.  Between source-voltage changes ``_Watch`` therefore watches for the
+state after a step, so reduced, to equal the state after an earlier step
+t1.  The candidates for t1 are every power-of-two checkpoint since the last
+restart, not only Brent's latest one, so a cycle that starts at mu is
+found P steps after the first checkpoint taken inside it, near mu + P (as
+with Nivasch's stack of earlier values); the full comparison runs only
+when the step's voltage equals a checkpoint's.  The checkpoints hold at
+most the engine's cache bytes, the oldest dropped first, so a fleet whose
+keys do not fit keeps only the latest, as Brent does.  When the state after
+t2 = t1 + P repeats it, every later step repeats the period (t1, t2] with
+each cohort's shifts moved on by its drift over the period, so the watch
+copies that period forward (the traces by ``_copy_periods``, the state and
+shift record by ``_Fleet.copy``), whole periods up to the next
+source-voltage change and to the horizon (where a partial last period is
+copied too), and never so far that a drifting cohort's shifts would reach
+the clip.  The copied floats are the ones the same steps would compute from
+the same inputs, so the trace is bit-identical; the simulation then
+resumes from the state advanced by the copied steps.  A controller fleet is
+never copied, so the planner runs on every control step.
 
-Recorded shifts are kept as a ``ShiftRecord``: the steps at which the
-cohort shift vector changes and the vector after each change.  Only a
-dispatching step, a patch of a free-run block and a copied period can
-move a shift, so only they append to it, and a step that leaves every
-shift as it was appends nothing.  A copied period appends the period's
-changes moved on by the copy's drift.
+Recorded shifts are kept as a ``ShiftRecord``, built by ``_Fleet``: the
+steps at which the cohort shift vector changes and the vector after each
+change.  Only a dispatching step, a patch of a free-run block and a copied
+period can move a shift, so only they append to it, and a step that leaves
+every shift as it was appends nothing.  A copied period appends the
+period's changes moved on by the copy's drift.
 """
 
 from __future__ import annotations
@@ -430,131 +440,49 @@ def _cohorts(scenario: Scenario) -> tuple[list[AgentConfig], np.ndarray | slice,
 
 
 def run(scenario: Scenario) -> Trace:
-    """Simulate the scenario; two runs with equal inputs are bit-identical."""
-    n = scenario.n_agents
-    horizon = scenario.horizon
-    # state is kept per cohort; ``[cohort]`` expands a cohort array to agent
-    # order and ``[first]`` collapses an agent array to cohorts
-    cfgs, first, cohort = _cohorts(scenario)
-    k = len(cfgs)
+    """Simulate the scenario; two runs with equal inputs are bit-identical.
 
-    # each field is read once per distinct config object and spread to the
-    # cohorts that share it
-    ids = list(map(id, cfgs))
-    distinct = list(dict(zip(ids, cfgs)).values())
-    slot = {id(a): j for j, a in enumerate(distinct)}
-    which = np.fromiter(map(slot.__getitem__, ids), np.intp, k)
-
-    def per_cohort(values: list, dtype=None) -> np.ndarray:
-        return np.array(values, dtype=dtype)[which]
-
-    period = per_cohort([a.period for a in distinct], np.int64)
-    on_steps = per_cohort([a.on_steps for a in distinct], np.int64)
-    phase = per_cohort([a.phase for a in distinct], np.int64)
-    max_shift = per_cohort([a.max_shift for a in distinct], np.int64)
-    min_shift = -max_shift
-    prob = per_cohort([a.p for a in distinct])
-    latch_cfg = per_cohort([a.p_latch for a in distinct], bool)
-
-    reactive_mask = per_cohort([a.rule is RuleKind.REACTIVE for a in distinct], bool)
-    prob_mask = per_cohort([a.rule is RuleKind.PROBABILISTIC for a in distinct], bool)
-    cmd_mask = per_cohort([a.rule is RuleKind.COMMANDED for a in distinct], bool)
-    senses = reactive_mask | prob_mask
-    has_reactive = bool(reactive_mask.any())
-    has_prob = bool(prob_mask.any())
-    has_cmd = bool(cmd_mask.any())
-    latched = prob_mask & latch_cfg
-    plain = prob_mask & ~latch_cfg
-    has_latch = bool(latched.any())
-    # a triggered cohort reacts iff its draw is below this: reactive ones
-    # always (draws are below 1), plain probabilistic ones with p, the others
-    # never (latched ones are settled per episode)
-    react_p = np.where(reactive_mask, 2.0, np.where(plain, prob, 0.0))
-
-    # agents that do not sense never trigger; when every sensing agent has
-    # the same thresholds, the trigger is one int for the whole fleet
-    v_low = np.where(senses, per_cohort([a.v_low for a in distinct]), -np.inf)
-    v_high = np.where(senses, per_cohort([a.v_high for a in distinct]), np.inf)
-    thresholds = set(zip(v_low[senses].tolist(), v_high[senses].tolist()))
-    uniform_thresholds = len(thresholds) <= 1
-    v_low0, v_high0 = thresholds.pop() if thresholds else (-np.inf, np.inf)
-
-    # cycle machine in absolute steps: connected at t iff t < run_end, and
-    # the next window (phase + shift + j * period; commanded schedules keep
-    # shift 0) opens at nxt.  Initial values are the state after step -1.
-    shift = np.zeros(k, dtype=np.int64)
-    nxt = phase
-    run_end = on_steps - 1 - (-1 - phase) % period
-    connected = run_end >= 0
-    override = np.zeros(k, dtype=np.int64)  # commanded connection mask
-    forced = np.zeros(k, dtype=bool)  # override > 0
-    allowed = np.ones(k, dtype=bool)  # override >= 0
-    latch_side = np.zeros(k, dtype=np.int64)
-    latch_react = np.zeros(k, dtype=bool)
-    latch_dirty = False  # latch state may be nonzero
-
-    # the elements equal circuit.solve's per-branch sums, and expanding by
-    # cohort gives the N values in agent order, so the pairwise total and
-    # the traces match the per-agent reference bit for bit
-    g_base = scenario.circuit.base_conductances()
-    g_on = (g_base + scenario.circuit.flex_conductances())[first]
-    g_base = g_base[first]
-    r_source = scenario.circuit.r_source
+    One loop advances every step: it senses (plan, trigger, draws),
+    classifies the step as quiet, free, a patch or a dispatch, closing and
+    opening free-run blocks, picks the connection vector and solves the
+    circuit.  What runs once per run, per patch, per dispatching step, per
+    checkpoint or per copy lives in ``_Fleet`` and ``_Watch``.
+    """
+    n, horizon, delay, ctrl = scenario.n_agents, scenario.horizon, scenario.sensing_delay, scenario.controller
+    f = _Fleet(scenario)
+    # what the loop reads on most steps stays in locals: a free step costs
+    # a few microseconds, of which an attribute lookup is a visible share
+    k, first, cohort, period, on_steps = f.k, f.first, f.cohort, f.period, f.on_steps
+    has_reactive, has_prob, has_cmd, has_latch = f.has_reactive, f.has_prob, f.has_cmd, f.has_latch
+    reactive_mask, react_p, uniform_thresholds = f.reactive_mask, f.react_p, f.uniform_thresholds
+    v_low0, v_high0, r_source = f.v_low0, f.v_high0, scenario.circuit.r_source
 
     d = scenario.disturbance
     v_base = scenario.v_source_base
     v_sag = v_base - d.delta_v  # source_voltage inside [t_start, t_end)
     trace_vs = np.full(horizon, v_base)
     trace_vs[d.t_start : d.t_end] = v_sag
-    trace_v = np.empty(horizon)
-    trace_i = np.empty(horizon)
-    trace_n = np.empty(horizon, dtype=np.int64)
-    # the shift record: steps at which the cohort shifts change, and the
-    # shifts from each on; it starts with the shifts before step 0
-    shift_steps = [0] if scenario.record_shifts else None
-    shift_values = [np.zeros(k, dtype=np.int32)]
-
+    trace_v, trace_i, trace_n = np.empty(horizon), np.empty(horizon), np.empty(horizon, dtype=np.int64)
     v_init = initial_sensed_voltage(scenario)
-    delay = scenario.sensing_delay
-    ctrl = scenario.controller
     plan_at = 0 if ctrl is not None else horizon  # the next control step
-    flex_on = connected
+    flex_on = f.run_end >= 0  # connected after step -1
+    latch_dirty = False  # latch state may be nonzero
     # (g_total, n_on) per cohort connection vector, cleared when full
     circuit_memo: dict[bytes, tuple[float, int]] = {}
     memo_entries = max(1, _ENGINE_CACHE_BYTES // (k + 256))
-
-    # limit-cycle watch (fleets without draws or a controller): the state
-    # key after step t is checkpointed at powers of two since the last
-    # restart, every checkpoint is kept as [t, v, key, shift, lo, hi] and
-    # indexed by its voltage, and a step whose voltage equals a checkpoint's
-    # compares keys.  A checkpoint's lo/hi are each cohort's unclipped shift
-    # extremes from it to the latest checkpoint, and the live lo/hi go on
-    # from there.  The checkpoints hold at most _ENGINE_CACHE_BYTES, the
-    # oldest dropped first and the latest always kept.
-    watch = not has_prob and ctrl is None
-    changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
-    checkpoints: list[list] = []  # oldest first
-    by_v: dict[float, list[list]] = {}  # each list oldest first
-    ck_t, power = -1, 0  # the latest checkpoint's step and power
-    lo = hi = shift
-    cycle = None
-
-    # free-run blocks (the other fleets): from a free step the connection
-    # vectors of the next ``block_len`` steps are computed at once, and
-    # steps use them while they stay free or move only plain probabilistic
-    # cohorts, whose columns are rewritten.  A block patches at most as many
-    # cohorts as it has steps, so patching costs a few scalar operations per
-    # step.  ``block_len`` doubles after a block that ran to its end and
+    # fleets without draws or a controller are left to the limit-cycle
+    # watch; the others advance in free-run blocks
+    watch = _Watch(f, scenario, (trace_v, trace_i, trace_n)) if not has_prob and ctrl is None else None
+    # from a free step the connection vectors of the next ``block_len`` steps
+    # are computed at once, and steps use them while they stay free or move
+    # only plain probabilistic cohorts, whose columns ``_Fleet.patch``
+    # rewrites.  ``block_len`` doubles after a block that ran to its end and
     # restarts at 1 after a stop; a block holds at most one window per
     # cohort and at most _ENGINE_CACHE_BYTES.
-    blocks = not watch
     max_block = min(int(period.min()) - 1, max(1, _ENGINE_CACHE_BYTES // k))
     block_len = 1
     rows = None  # the open block's vectors, one row per step from blk_t
     blk_t = blk_end = 0
-    # per-cohort scalars for patches
-    period_of, on_steps_of = period.tolist(), on_steps.tolist()
-    min_shift_of, max_shift_of = min_shift.tolist(), max_shift.tolist()
 
     t = 0
     while t < horizon:
@@ -571,31 +499,28 @@ def run(scenario: Scenario) -> Trace:
             # count_nonzero is one C call; ndarray.any() reduces through
             # numpy's Python-level wrapper, about 3x slower at N=1000
             if has_cmd and np.count_nonzero(plan.actions):
-                commands = np.where(cmd_mask, plan.actions[first], 0)
+                commands = np.where(f.cmd_mask, plan.actions[first], 0)
 
         if uniform_thresholds:
             trigger = 1 if sensed < v_low0 else (-1 if sensed > v_high0 else 0)
             triggered = trigger != 0
         else:
-            trigger = np.where(sensed < v_low, 1, np.where(sensed > v_high, -1, 0))
+            trigger = np.where(sensed < f.v_low, 1, np.where(sensed > f.v_high, -1, 0))
             triggered = bool(trigger.any())
         if has_prob:
             draws = uniform_draws(scenario.seed, t, n)
         quiet = not triggered and commands is None
         if not quiet:
-            # agents that react to the trigger; latched ones are settled below
-            reacts = reactive_mask
-            if has_prob:
-                own = draws[first]
-                reacts = own < react_p
-                if has_latch:
-                    hit = own < prob
+            # agents that react to the trigger; latched ones are settled by
+            # the reactions
+            own = draws[first] if has_prob else None
+            reacts = own < react_p if has_prob else reactive_mask
 
         # a free step moves no shift, issues no instruction and touches no
         # latch state; inside an open block, a step that moves only plain
         # probabilistic cohorts patches their columns instead of closing it
         free = patch = False
-        if blocks:
+        if watch is None:
             if quiet:
                 free = not latch_dirty
             elif commands is None and not has_latch:
@@ -609,7 +534,7 @@ def run(scenario: Scenario) -> Trace:
                     patches_left -= movers.size
             if rows is not None and (t == blk_end or not (free or patch)):
                 # close the block after its steps [blk_t, t)
-                nxt, run_end = _free_run_state(blk_t, t - blk_t, nxt, run_end, on_steps, period)
+                f.nxt, f.run_end = _free_run_state(blk_t, t - blk_t, f.nxt, f.run_end, on_steps, period)
                 block_len = min(2 * block_len, max_block) if t == blk_end else 1
                 rows = None
             if free and rows is None:
@@ -619,66 +544,22 @@ def run(scenario: Scenario) -> Trace:
                 else:
                     blk_t, blk_end = t, min(t + block_len, horizon)
                     patches_left = blk_end - t
-                    rows = _free_run_rows(t, blk_end - t, nxt, run_end, on_steps, period)
+                    rows = _free_run_rows(t, blk_end - t, f.nxt, f.run_end, on_steps, period)
                     if has_cmd:
-                        rows &= allowed
-                        rows |= forced
+                        rows &= f.allowed
+                        rows |= f.forced
                     keys = rows.tobytes()  # row i is keys[i * k : (i + 1) * k]
 
-        # --- decision rules (vectorized twin of agents.agent_step) ---
         if quiet:
-            # no shift moves
-            if latch_dirty:
-                latch_side = np.zeros(k, dtype=np.int64)
-                latch_react = np.zeros(k, dtype=bool)
-                latch_dirty = False
+            latch_dirty = False  # a quiet step ends every latch episode
         elif patch:
-            for j in movers.tolist():
-                delta = trigger if uniform_thresholds else int(trigger[j])
-                new_shift = int(shift[j]) + delta
-                if not min_shift_of[j] <= new_shift <= max_shift_of[j]:
-                    continue  # a move of one step that the clip undoes
-                shift[j] = new_shift
-                nj, rj = _move_in_block(
-                    t, delta, int(nxt[j]), int(run_end[j]), on_steps_of[j], period_of[j]
-                )
-                nxt[j], run_end[j] = nj, rj
-                # column j of steps [t, blk_end), as _free_run_rows from t + 1
-                w = nj if rj <= nj else nj + period_of[j]
-                col = rows[t - blk_t :, j]
-                col[:] = False
-                col[: max(rj - t, 0)] = True
-                col[w - t : w - t + on_steps_of[j]] = True
+            f.patch(t, movers, trigger, rows, t - blk_t)
             keys = rows.tobytes()
-            if shift_steps is not None:
-                _record_shifts(shift_steps, shift_values, t, shift)
         elif not free:
-            if has_latch:
-                active = latched & (trigger != 0)
-                new_episode = active & (latch_side != trigger)
-                latch_react = np.where(new_episode, hit, latch_react) & active
-                latch_side = np.where(active, trigger, 0)
-                latch_dirty = True
-                reacts = reacts | latch_react
-            applied = np.where(reacts, trigger, 0)
-            if commands is not None:
-                applied = applied + commands
-                # postpone (+1) suppresses the connection, advance forces it
-                override = np.minimum(np.maximum(override - commands, -1), 1)
-                forced = override > 0
-                allowed = override >= 0
-
-            moved = shift + applied
-            if watch:
-                lo = np.minimum(lo, moved)
-                hi = np.maximum(hi, moved)
-            new_shift = np.minimum(np.maximum(moved, min_shift), max_shift)
-            # a postponed window opens later, an advanced one earlier; an
-            # advance may find the window opened one step ago
-            nxt = nxt + (np.where(cmd_mask, 0, new_shift - shift) if has_cmd else new_shift - shift)
-            if shift_steps is not None:
-                _record_shifts(shift_steps, shift_values, t, new_shift)
-            shift = new_shift
+            moved = f.react(t, trigger, reacts, own, commands, latch_dirty)
+            latch_dirty = has_latch
+            if watch is not None:
+                watch.widen(moved)
 
         # --- cycle machine ---
         if rows is not None:
@@ -686,8 +567,8 @@ def run(scenario: Scenario) -> Trace:
             flex_on = rows[i]
             key = keys[i * k : i * k + k]
         else:
-            connected = _cycle_step(t, nxt, run_end, on_steps, period)
-            flex_on = (connected & allowed) | forced if has_cmd else connected
+            connected = _cycle_step(t, f.nxt, f.run_end, on_steps, period)
+            flex_on = (connected & f.allowed) | f.forced if has_cmd else connected
             key = flex_on.tobytes()
 
         # --- physical layer ---
@@ -695,92 +576,289 @@ def run(scenario: Scenario) -> Trace:
         if solved is None:
             if len(circuit_memo) >= memo_entries:
                 circuit_memo.clear()
-            solved = circuit_memo[key] = (
-                float(np.where(flex_on, g_on, g_base)[cohort].sum()),
-                np.count_nonzero(flex_on[cohort]),
-            )
+            g_total = float(np.where(flex_on, f.g_on, f.g_base)[cohort].sum())
+            solved = circuit_memo[key] = (g_total, np.count_nonzero(flex_on[cohort]))
         g_total, n_on = solved
         v = vs / (1.0 + r_source * g_total)
         trace_v[t] = v
         trace_i[t] = v * g_total
         trace_n[t] = n_on
 
-        if watch and t >= delay - 1:
-            match = by_v.get(v)
-            if match is not None:
-                state = _state_key(t, nxt, run_end, trace_v, delay)
-                match = next((ck for ck in match if ck[2] == state), None)
-            if match is not None:
-                t1, _, _, ck_shift, ck_lo, ck_hi = match
-                lo, hi = np.minimum(ck_lo, lo), np.maximum(ck_hi, hi)
-                p_len = t - t1
-                drift = shift - ck_shift
-                # steps to copy: up to the next source-voltage change, or to
-                # the horizon with a partial last period, and only whole
-                # periods whose shifts stay clear of the clip; a cohort
-                # without drift repeats its absolute state, clips included
-                end = min([c for c in changes if c > t], default=horizon)
-                steps = end - 1 - t
-                copies = -(-steps // p_len) if end == horizon else steps // p_len
-                moving = drift != 0
-                if (((lo < min_shift) | (hi > max_shift)) & moving).any():
-                    copies = 0
-                elif moving.any():
-                    room = np.where(drift > 0, max_shift - hi, lo - min_shift)
-                    copies = min(copies, int((room[moving] // np.abs(drift[moving])).min()))
-                steps = min(steps, copies * p_len)
-                if steps > 0:
-                    _copy_periods(trace_v, trace_i, trace_n, t1, t, steps)
-                    if shift_steps is not None:
-                        _copy_shift_periods(shift_steps, shift_values, t1, t, steps, drift)
-                    nxt = nxt + steps
-                    run_end = run_end + steps
-                    shift = shift + steps // p_len * drift
-                    t += steps
-                    cycle = (t1, p_len)
-                power = 0  # restart
-            restart = power == 0 or t + 1 in changes
-            if restart or t - ck_t == power:
-                power = 1 if restart else 2 * power
-                if restart:
-                    checkpoints.clear()
-                    by_v.clear()
-                for ck in checkpoints:
-                    ck[4], ck[5] = np.minimum(ck[4], lo), np.maximum(ck[5], hi)
-                ck_t, ck_v = t, float(trace_v[t])
-                ck = [t, ck_v, _state_key(t, nxt, run_end, trace_v, delay), shift, shift, shift]
-                checkpoints.append(ck)
-                by_v.setdefault(ck_v, []).append(ck)
-                ck_bytes = len(ck[2]) + 3 * shift.nbytes
-                while len(checkpoints) * ck_bytes > _ENGINE_CACHE_BYTES and len(checkpoints) > 1:
-                    old = checkpoints.pop(0)
-                    same = by_v[old[1]]
-                    same.pop(0)  # the oldest checkpoint of its voltage
-                    if not same:
-                        del by_v[old[1]]
-                lo = hi = shift
+        if watch is not None and t >= delay - 1:
+            t = watch.observe(t, v)
         t += 1
 
-    record = None
-    if shift_steps is not None:
-        record = ShiftRecord(
-            np.array(shift_steps, dtype=np.int64),
-            np.array(shift_values, dtype=np.int32).reshape(len(shift_steps), k),
-            np.arange(n) if isinstance(cohort, slice) else cohort,
+    return Trace(trace_vs, trace_v, trace_i, trace_n, f.shift_record(n), watch and watch.cycle)
+
+
+class _Fleet:
+    """The fleet as cohorts: each cohort's constants and the state of its
+    cycle machine, shift and latch, with the moves that change that state.
+
+    The constants are read once per distinct config object and spread to
+    the cohorts that share it; the ones a patch reads per cohort are also
+    kept as Python lists, since indexing a list is cheaper than an array.
+    """
+
+    def __init__(self, scenario: Scenario):
+        # state is kept per cohort; ``[cohort]`` expands a cohort array to
+        # agent order and ``[first]`` collapses an agent array to cohorts
+        cfgs, self.first, self.cohort = _cohorts(scenario)
+        self.k = k = len(cfgs)
+        distinct = list(dict(zip(map(id, cfgs), cfgs)).values())
+        slot = dict(zip(map(id, distinct), range(len(distinct))))
+        which = np.fromiter(map(slot.__getitem__, map(id, cfgs)), np.intp, k)
+
+        def per_cohort(values: list, dtype=None) -> np.ndarray:
+            return np.array(values, dtype=dtype)[which]
+
+        self.period = period = per_cohort([a.period for a in distinct], np.int64)
+        self.on_steps = on_steps = per_cohort([a.on_steps for a in distinct], np.int64)
+        phase = per_cohort([a.phase for a in distinct], np.int64)
+        self.max_shift = max_shift = per_cohort([a.max_shift for a in distinct], np.int64)
+        self.min_shift = -max_shift
+        self.prob = prob = per_cohort([a.p for a in distinct])
+        latch_cfg = per_cohort([a.p_latch for a in distinct], bool)
+        self.reactive_mask = reactive = per_cohort([a.rule is RuleKind.REACTIVE for a in distinct], bool)
+        prob_mask = per_cohort([a.rule is RuleKind.PROBABILISTIC for a in distinct], bool)
+        self.cmd_mask = per_cohort([a.rule is RuleKind.COMMANDED for a in distinct], bool)
+        self.latched = prob_mask & latch_cfg
+        self.has_reactive, self.has_prob = bool(reactive.any()), bool(prob_mask.any())
+        self.has_cmd, self.has_latch = bool(self.cmd_mask.any()), bool(self.latched.any())
+        # a triggered cohort reacts iff its draw is below react_p: reactive
+        # ones always (draws are below 1), plain probabilistic ones with p,
+        # the others never (latched ones are settled per episode)
+        self.react_p = np.where(reactive, 2.0, np.where(prob_mask & ~latch_cfg, prob, 0.0))
+
+        # agents that do not sense never trigger; when every sensing agent
+        # has the same thresholds, the trigger is one int for the whole fleet
+        senses = reactive | prob_mask
+        self.v_low = np.where(senses, per_cohort([a.v_low for a in distinct]), -np.inf)
+        self.v_high = np.where(senses, per_cohort([a.v_high for a in distinct]), np.inf)
+        thresholds = set(zip(self.v_low[senses].tolist(), self.v_high[senses].tolist()))
+        self.uniform_thresholds = len(thresholds) <= 1
+        self.v_low0, self.v_high0 = thresholds.pop() if thresholds else (-np.inf, np.inf)
+
+        # the elements equal circuit.solve's per-branch sums, and expanding
+        # by cohort gives the N values in agent order, so the pairwise total
+        # and the traces match the per-agent reference bit for bit
+        g_base = scenario.circuit.base_conductances()
+        self.g_on = (g_base + scenario.circuit.flex_conductances())[self.first]
+        self.g_base = g_base[self.first]
+        self.period_of, self.on_steps_of, self.max_shift_of = (a.tolist() for a in (period, on_steps, max_shift))
+
+        # cycle machine in absolute steps: connected at t iff t < run_end, and
+        # the next window (phase + shift + j * period; commanded schedules
+        # keep shift 0) opens at nxt.  Initial values are the state after
+        # step -1.
+        self.shift = np.zeros(k, dtype=np.int64)
+        self.nxt = phase
+        self.run_end = on_steps - 1 - (-1 - phase) % period
+        self.override = np.zeros(k, dtype=np.int64)  # commanded connection mask
+        self.forced = np.zeros(k, dtype=bool)  # override > 0
+        self.allowed = np.ones(k, dtype=bool)  # override >= 0
+        # the shift record: steps at which the cohort shifts change, and the
+        # shifts from each on; it starts with the shifts before step 0
+        self.shift_steps = [0] if scenario.record_shifts else None
+        self.shift_values = [np.zeros(k, dtype=np.int32)]
+
+    def react(self, t, trigger, reacts, own, commands, latch_dirty) -> np.ndarray:
+        """Run the rules of dispatching step t (the vectorized twin of
+        ``agents.agent_step``): latch episodes, applied moves, the override
+        and the clip.  Returns the shifts before the clip.
+
+        ``own`` holds each cohort's draw, ``reacts`` whether it reacts to
+        the trigger, and ``latch_dirty`` whether the step before dispatched,
+        which a latch episode needs to go on.
+        """
+        if self.has_latch:
+            if not latch_dirty:
+                self.latch_side, self.latch_react = np.zeros(self.k, np.int64), np.zeros(self.k, bool)
+            active = self.latched & (trigger != 0)
+            new_episode = active & (self.latch_side != trigger)
+            self.latch_react = np.where(new_episode, own < self.prob, self.latch_react) & active
+            self.latch_side = np.where(active, trigger, 0)
+            reacts = reacts | self.latch_react
+        applied = np.where(reacts, trigger, 0)
+        if commands is not None:
+            applied = applied + commands
+            # postpone (+1) suppresses the connection, advance forces it
+            self.override = np.minimum(np.maximum(self.override - commands, -1), 1)
+            self.forced, self.allowed = self.override > 0, self.override >= 0
+        moved = self.shift + applied
+        shift = np.minimum(np.maximum(moved, self.min_shift), self.max_shift)
+        # a postponed window opens later, an advanced one earlier; an advance
+        # may find the window opened one step ago
+        moves = shift - self.shift
+        self.nxt = self.nxt + (np.where(self.cmd_mask, 0, moves) if self.has_cmd else moves)
+        self.shift = shift
+        if self.shift_steps is not None:
+            self._record(t, shift)
+        return moved
+
+    def patch(self, t, movers, trigger, rows, i) -> None:
+        """Move the windows of ``movers``, plain probabilistic cohorts, at
+        step t of an open free-run block, and rewrite their columns of
+        ``rows[i:]``, the block's rows from t on."""
+        shift, nxt, run_end, uniform = self.shift, self.nxt, self.run_end, self.uniform_thresholds
+        period_of, on_steps_of, max_shift_of = self.period_of, self.on_steps_of, self.max_shift_of
+        for j in movers.tolist():
+            delta = trigger if uniform else int(trigger[j])
+            new_shift = int(shift[j]) + delta
+            if abs(new_shift) > max_shift_of[j]:
+                continue  # a move of one step that the clip undoes
+            shift[j] = new_shift
+            nj, rj = _move_in_block(t, delta, int(nxt[j]), int(run_end[j]), on_steps_of[j], period_of[j])
+            nxt[j], run_end[j] = nj, rj
+            # column j of steps [t, blk_end), as _free_run_rows from t + 1
+            w = nj if rj <= nj else nj + period_of[j]
+            col = rows[i:, j]
+            col[:] = False
+            col[: max(rj - t, 0)] = True
+            col[w - t : w - t + on_steps_of[j]] = True
+        if self.shift_steps is not None:
+            self._record(t, shift)
+
+    def copy(self, t1, t2, steps, drift) -> None:
+        """Advance the state by steps (t2, t2 + steps], copies of the period
+        (t1, t2] that move the shifts by ``drift`` per whole period.
+
+        The period's recorded changes stay changes in every copy, so only
+        each copy's first step is compared with the row before it.
+        """
+        p_len = t2 - t1
+        if self.shift_steps is not None:
+            shift_steps, shift_values, stop = self.shift_steps, self.shift_values, t2 + 1 + steps
+            lo, hi = bisect_right(shift_steps, t1 + 1), bisect_right(shift_steps, t2)
+            start = shift_values[lo - 1]  # the shifts at step t1 + 1
+            offsets = np.array(shift_steps[lo:hi], dtype=np.int64) - (t1 + 1)
+            changes = np.array(shift_values[lo:hi], dtype=np.int32).reshape(hi - lo, self.k)
+            for j, dst in enumerate(range(t2 + 1, stop, p_len), 1):
+                move = (j * drift).astype(np.int32)
+                self._record(dst, start + move)
+                within = np.searchsorted(offsets, stop - dst)  # changes before the copy's end
+                shift_steps.extend((offsets[:within] + dst).tolist())
+                shift_values.extend(changes[:within] + move)
+        self.nxt, self.run_end = self.nxt + steps, self.run_end + steps
+        self.shift = self.shift + steps // p_len * drift
+
+    def _record(self, t, shift) -> None:
+        """Record ``shift`` as the shifts from step t on, unless it equals the
+        last recorded shifts; a change at step 0 replaces the shifts before
+        it.  Callers check that shifts are recorded."""
+        steps, values = self.shift_steps, self.shift_values
+        if not np.count_nonzero(shift != values[-1]):
+            return
+        if steps[-1] == t:
+            values[-1] = shift.astype(np.int32)
+        else:
+            steps.append(t)
+            values.append(shift.astype(np.int32))
+
+    def shift_record(self, n) -> ShiftRecord | None:
+        """The recorded shifts of the n agents, or None when not recorded."""
+        if self.shift_steps is None:
+            return None
+        return ShiftRecord(
+            np.array(self.shift_steps, dtype=np.int64),
+            np.array(self.shift_values, dtype=np.int32).reshape(len(self.shift_steps), self.k),
+            np.arange(n) if isinstance(self.cohort, slice) else self.cohort,
         )
-    return Trace(trace_vs, trace_v, trace_i, trace_n, record, cycle)
 
 
-def _record_shifts(steps, values, t, shift) -> None:
-    """Record ``shift`` as the shifts from step t on, unless it equals the
-    last recorded shifts; a change at step 0 replaces the shifts before it."""
-    if not np.count_nonzero(shift != values[-1]):
-        return
-    if steps[-1] == t:
-        values[-1] = shift.astype(np.int32)
-    else:
-        steps.append(t)
-        values.append(shift.astype(np.int32))
+class _Watch:
+    """The limit-cycle watch of a fleet without draws or a controller.
+
+    The state key after step t is checkpointed at powers of two since the
+    last restart; every checkpoint is kept as [t, v, key, shift, lo, hi]
+    and indexed by its voltage, and a step whose voltage equals a
+    checkpoint's compares keys.  A checkpoint's lo/hi are each cohort's
+    unclipped shift extremes from it to the latest checkpoint, and the live
+    lo/hi go on from there.  The checkpoints hold at most
+    _ENGINE_CACHE_BYTES, the oldest dropped first and the latest always
+    kept.
+    """
+
+    def __init__(self, fleet: _Fleet, scenario: Scenario, traces: tuple):
+        d = scenario.disturbance
+        self.fleet, self.traces = fleet, traces  # (v_load, i_total, n_flex_on)
+        self.delay, self.horizon = scenario.sensing_delay, scenario.horizon
+        self.changes = (d.t_start, d.t_end) if d.t_start < d.t_end else ()  # source voltage steps
+        # the checkpoints, oldest first, and by voltage, each list oldest first
+        self.checkpoints, self.by_v = [], {}
+        self.ck_t, self.power = -1, 0  # the latest checkpoint's step and power
+        self.lo = self.hi = fleet.shift
+        self.cycle = None  # (t1, P) of the last copied period
+
+    def widen(self, moved) -> None:
+        """Take a dispatching step's unclipped shifts into the live lo/hi."""
+        self.lo = np.minimum(self.lo, moved)
+        self.hi = np.maximum(self.hi, moved)
+
+    def observe(self, t, v) -> int:
+        """Watch the state after step t, whose load voltage is v; returns the
+        last step done, which is past t when periods were copied."""
+        match = self.by_v.get(v)
+        if match is not None:
+            state = _state_key(t, self.fleet.nxt, self.fleet.run_end, self.traces[0], self.delay)
+            match = next((ck for ck in match if ck[2] == state), None)
+            if match is not None:
+                t += self._copy(t, *match)
+                self.power = 0  # restart
+        restart = self.power == 0 or t + 1 in self.changes
+        if restart or t - self.ck_t == self.power:
+            self._checkpoint(t, restart)
+        return t
+
+    def _copy(self, t, t1, _v, _key, ck_shift, ck_lo, ck_hi) -> int:
+        """Copy the period (t1, t] forward; returns the steps copied.
+
+        It copies up to the next source-voltage change, or to the horizon
+        with a partial last period, and only whole periods whose shifts
+        stay clear of the clip; a cohort without drift repeats its absolute
+        state, clips included.
+        """
+        f = self.fleet
+        lo, hi = np.minimum(ck_lo, self.lo), np.maximum(ck_hi, self.hi)
+        p_len = t - t1
+        drift = f.shift - ck_shift
+        end = min([c for c in self.changes if c > t], default=self.horizon)
+        steps = end - 1 - t
+        copies = -(-steps // p_len) if end == self.horizon else steps // p_len
+        moving = drift != 0
+        if (((lo < f.min_shift) | (hi > f.max_shift)) & moving).any():
+            copies = 0
+        elif moving.any():
+            room = np.where(drift > 0, f.max_shift - hi, lo - f.min_shift)
+            copies = min(copies, int((room[moving] // np.abs(drift[moving])).min()))
+        steps = min(steps, copies * p_len)
+        if steps > 0:
+            _copy_periods(*self.traces, t1, t, steps)
+            f.copy(t1, t, steps, drift)
+            self.cycle = (t1, p_len)
+        return steps
+
+    def _checkpoint(self, t, restart) -> None:
+        """Checkpoint the state after step t, first dropping every earlier
+        checkpoint on a restart."""
+        if restart:
+            self.checkpoints, self.by_v = [], {}
+        f, checkpoints, by_v = self.fleet, self.checkpoints, self.by_v
+        self.power = 1 if restart else 2 * self.power
+        for ck in checkpoints:
+            ck[4], ck[5] = np.minimum(ck[4], self.lo), np.maximum(ck[5], self.hi)
+        self.ck_t, ck_v = t, float(self.traces[0][t])
+        ck = [t, ck_v, _state_key(t, f.nxt, f.run_end, self.traces[0], self.delay), f.shift, f.shift, f.shift]
+        checkpoints.append(ck)
+        by_v.setdefault(ck_v, []).append(ck)
+        ck_bytes = len(ck[2]) + 3 * f.shift.nbytes
+        while len(checkpoints) * ck_bytes > _ENGINE_CACHE_BYTES and len(checkpoints) > 1:
+            old = checkpoints.pop(0)
+            same = by_v[old[1]]
+            same.pop(0)  # the oldest checkpoint of its voltage
+            if not same:
+                del by_v[old[1]]
+        self.lo = self.hi = f.shift
 
 
 def _cycle_step(t, nxt, run_end, on_steps, period) -> np.ndarray:
@@ -874,33 +952,8 @@ def _copy_periods(trace_v, trace_i, trace_n, t1, t2, steps) -> None:
     stop = t2 + 1 + steps
     for dst in range(t2 + 1, stop, p_len):
         w = min(p_len, stop - dst)
-        src = slice(t1 + 1, t1 + 1 + w)
-        out = slice(dst, dst + w)
-        trace_v[out] = trace_v[src]
-        trace_i[out] = trace_i[src]
-        trace_n[out] = trace_n[src]
-
-
-def _copy_shift_periods(shift_steps, shift_values, t1, t2, steps, drift) -> None:
-    """Record steps (t2, t2 + steps] as copies of the period (t1, t2], adding
-    ``drift`` to the shifts once per copy.
-
-    The period's changes stay changes in every copy, so only each copy's
-    first step is compared with the row before it.
-    """
-    p_len = t2 - t1
-    stop = t2 + 1 + steps
-    lo = bisect_right(shift_steps, t1 + 1)
-    hi = bisect_right(shift_steps, t2)
-    start = shift_values[lo - 1]  # the shifts at step t1 + 1
-    offsets = np.array(shift_steps[lo:hi], dtype=np.int64) - (t1 + 1)
-    changes = np.array(shift_values[lo:hi], dtype=np.int32).reshape(hi - lo, len(start))
-    for j, dst in enumerate(range(t2 + 1, stop, p_len), 1):
-        move = (j * drift).astype(np.int32)
-        _record_shifts(shift_steps, shift_values, dst, start + move)
-        within = np.searchsorted(offsets, stop - dst)  # changes before the copy's end
-        shift_steps.extend((offsets[:within] + dst).tolist())
-        shift_values.extend(changes[:within] + move)
+        for trace in (trace_v, trace_i, trace_n):
+            trace[dst : dst + w] = trace[t1 + 1 : t1 + 1 + w]
 
 
 def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metrics:

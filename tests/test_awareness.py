@@ -357,6 +357,32 @@ def test_satisfied_words_set_off_no_garbage_collection():
     assert len(collections) < 20
 
 
+def test_large_fleet_wiring_sets_off_no_garbage_collection():
+    # one wiring tuple per agent set off 28 collections here; the structure
+    # keeps the declaration's tuples and maps each atom to an untracked int
+    n = 20_000
+    decl = standard_declaration(n)
+    rules = [RuleKind.REACTIVE] * n
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        violations = validate_awareness(decl, rules)
+    finally:
+        gc.callbacks.remove(count)
+        if not was_enabled:
+            gc.disable()
+    assert violations == []
+    assert collections == []
+
+
 def test_shipped_b_looks_up_each_required_word_once(monkeypatch):
     # the benchmark pins N(N+1) lookups per validation of B
     bundle = load_scenario(SCENARIOS / "scenario_b.cfg")

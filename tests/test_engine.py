@@ -805,6 +805,44 @@ class TestLimitCycles:
         assert trace.cycle is None
 
 
+# calls of each helper that advances time, per shipped scenario: the one-step
+# machine, the copied periods, the draws, the planner, a free-run block's
+# open and close, and a patch's move of one cohort.  B's row follows the
+# draw layout: making the draws independent re-derives it, as it re-records
+# B's digests.
+ADVANCE_CALLS = {
+    "a": dict(_cycle_step=1745, _copy_periods=2, uniform_draws=0, controller_plan=0,
+              _free_run_rows=0, _free_run_state=0, _move_in_block=0),
+    "b": dict(_cycle_step=225, _copy_periods=0, uniform_draws=8000, controller_plan=0,
+              _free_run_rows=108, _free_run_state=107, _move_in_block=2652),
+    "c": dict(_cycle_step=22, _copy_periods=0, uniform_draws=0, controller_plan=8000,
+              _free_run_rows=101, _free_run_state=100, _move_in_block=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVANCE_CALLS))
+def test_each_advance_path_does_its_pinned_work_on_the_shipped_scenarios(monkeypatch, name):
+    # traces alone cannot tell a run that closes its blocks early, or copies
+    # less, from one that does not; these counts can
+    import reflexgrid.engine
+
+    calls = dict.fromkeys(ADVANCE_CALLS[name], 0)
+
+    def counting(attr):
+        helper = getattr(reflexgrid.engine, attr)
+
+        def counted(*args):
+            calls[attr] += 1
+            return helper(*args)
+
+        return counted
+
+    for attr in calls:
+        monkeypatch.setattr(reflexgrid.engine, attr, counting(attr))
+    run(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario)
+    assert calls == ADVANCE_CALLS[name]
+
+
 class TestPassiveBehaviour:
     def test_periodic_with_lcm_of_periods(self):
         sc = build_scenario(RuleKind.PASSIVE, n=2, period=20, horizon=400,
