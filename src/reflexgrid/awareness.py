@@ -9,11 +9,12 @@ have; the validator reports every missing word.
 The validator never lists that polynomial.  Full peer awareness has N² + N + 1
 words, but in the factored form the paper writes,
 T(1 + [c senses T]·c + Σ_a ([a senses T] + images(a) + [a has a channel]·c)·a),
-deciding whether a word is present costs a few lookups in the wiring itself.  So
-validation takes time linear in the words required and memory linear in the
-agents and the violations found.  ``derive_structure`` still builds the full
-polynomial; it is the reference that the factored membership is tested
-against.
+with one distinct atom per agent, deciding whether a word is present costs a
+few lookups in the wiring itself: ``word in decl`` equals
+``word in derive_structure(decl)``.  So validation takes time linear in the
+words required and memory linear in the agents and the violations found.
+``derive_structure`` still builds the full polynomial; it is the reference
+that the declaration's membership is tested against.
 
 Every word a rule requires of agent a ends in a, after a prefix that does
 not depend on a: T for a reactive agent, T c for a commanded one, and T
@@ -23,13 +24,12 @@ up as zip's tuple of its atoms, which equals the ``Word``.  zip reuses
 that tuple, so a present word allocates nothing and the only Python it
 runs is the one ``contains_word`` lookup; only a missing word is built as
 a ``Word``, for its violation.  Set-up likewise builds the N agent atoms
-in one pass and the factored structure with one ``dict`` of positions.
+in one pass and the declaration's membership with one ``dict`` of positions.
 Atoms and words are tuples, so hashing and comparing them runs no Python.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_, not_
@@ -43,10 +43,15 @@ from .algebra import Atom, Polynomial, Word, contains_word, indexed_atoms
 class AwarenessDecl:
     """Wiring of the information layer for one scenario.
 
+    Each agent has its own atom; ``agent_atoms`` may not repeat one.
     ``peer_images[i]`` holds the atoms whose reaction policies agent i has
     an image of (possibly including its own).  ``controller_channel[i]``
     says whether agent i receives instructions derived from the
     controller's view of the physical process.
+
+    ``word in decl`` equals ``word in derive_structure(decl)`` without
+    listing the structure: a word is looked up in the wiring of the agent
+    whose atom ends it.
     """
 
     root: Atom
@@ -69,6 +74,33 @@ class AwarenessDecl:
             self.controller_senses_root or any(self.controller_channel)
         ):
             raise ValueError("controller wiring declared without a controller atom")
+        # each atom's position; the positions are ints, which the cyclic
+        # garbage collector does not track, so a large fleet sets off no
+        # collection here
+        index = dict(zip(self.agent_atoms, range(n)))
+        if len(index) < n:
+            repeated = next(a for i, a in enumerate(self.agent_atoms) if index[a] != i)
+            raise ValueError(f"agent atom {repeated} is repeated; each agent needs its own atom")
+        object.__setattr__(self, "_index", index)
+
+    def __contains__(self, word: Word) -> bool:
+        n = len(word)
+        # identity first: the validator's words hold the declaration's own root
+        if not n or (word[0] is not self.root and word[0] != self.root):
+            return False
+        # first, as full peer awareness requires N² of these N(N+1) words:
+        # T p a for p among a's images, or T c a over a channel
+        if n == 3:
+            i = self._index.get(word[2])
+            if i is None:
+                return False
+            return word[1] in self.peer_images[i] or (self.controller_channel[i] and word[1] == self.controller_atom)
+        if n == 2:  # T a for an agent that senses, or T c
+            i = self._index.get(word[1])
+            if i is not None and self.senses_root[i]:
+                return True
+            return self.controller_senses_root and word[1] == self.controller_atom
+        return n == 1
 
 
 @dataclass(frozen=True)
@@ -109,60 +141,6 @@ def standard_declaration(
         controller_senses_root=controller,
         controller_channel=(controller,) * n_agents,
     )
-
-
-class _FactoredStructure:
-    """Membership in ``derive_structure(decl)`` without listing its words.
-
-    It keeps the declaration's own per-agent tuples (whether each agent
-    senses the root, the atoms it holds images of, and whether it has a
-    controller channel) and maps each agent atom to its position, keyed in
-    the order the atoms first appear.  The positions are ints, which the
-    cyclic garbage collector does not track, so a large fleet sets off no
-    collection here.  Only when several agents share one atom are the
-    tuples copied to lists, and the atom's position then holds the union of
-    their wirings, as ``derive_structure`` does; only those agents are
-    visited again.
-    """
-
-    __slots__ = ("root", "controller", "sensing_controller", "index", "senses", "images", "channel")
-
-    def __init__(self, decl: AwarenessDecl):
-        self.root = decl.root
-        self.controller = decl.controller_atom
-        self.sensing_controller = decl.controller_atom if decl.controller_senses_root else None
-        atoms = decl.agent_atoms
-        senses, images, channel = decl.senses_root, decl.peer_images, decl.controller_channel
-        index = dict(zip(atoms, range(len(atoms))))  # each atom's last position
-        if len(index) < len(atoms):
-            senses, images, channel = list(senses), list(images), list(channel)
-            shared = {a for a, count in Counter(atoms).items() if count > 1}
-            for i in compress(range(len(atoms)), map(shared.__contains__, atoms)):
-                j = index[atoms[i]]
-                if i != j:
-                    senses[j] = senses[j] or senses[i]
-                    images[j] = images[j] if images[i] is images[j] else images[j] | images[i]
-                    channel[j] = channel[j] or channel[i]
-        self.index, self.senses, self.images, self.channel = index, senses, images, channel
-
-    def __contains__(self, word: Word) -> bool:
-        n = len(word)
-        # identity first: the validator's words hold the declaration's own root
-        if not n or (word[0] is not self.root and word[0] != self.root):
-            return False
-        # first, as full peer awareness requires N² of these N(N+1) words:
-        # T p a for p among a's images, or T c a over a channel
-        if n == 3:
-            i = self.index.get(word[2])
-            if i is None:
-                return False
-            return word[1] in self.images[i] or (self.channel[i] and word[1] == self.controller)
-        if n == 2:  # T a for an agent that senses, or T c
-            i = self.index.get(word[1])
-            if i is not None and self.senses[i]:
-                return True
-            return self.sensing_controller is not None and word[1] == self.sensing_controller
-        return n == 1
 
 
 def derive_structure(decl: AwarenessDecl) -> Polynomial:
@@ -229,9 +207,8 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
     n = len(decl.agent_atoms)
     if len(rules) != n:
         raise ValueError("one rule per agent is required")
-    structure = _FactoredStructure(decl)
-    # without repeated atoms no required word repeats, so each is looked up once
-    distinct_atoms = tuple(structure.index)
+    # the agent atoms are distinct, so no required word repeats and each is
+    # looked up once
     missing: list[tuple[int, Word]] = []
     # the agents of each rule, found by C-level scans (hashing N enum members
     # would call Python once per agent)
@@ -248,9 +225,9 @@ def validate_awareness(decl: AwarenessDecl, rules: Sequence[RuleKind]) -> list[V
             owners = tuple(map(decl.agent_atoms.__getitem__, ids))
         # each word of a prefix is looked up as zip's tuple of its atoms,
         # which zip reuses, so only a missing word becomes a Word
-        for prefix in _prefixes(rule, decl.root, distinct_atoms, decl.controller_atom):
+        for prefix in _prefixes(rule, decl.root, decl.agent_atoms, decl.controller_atom):
             words = zip(*map(repeat, prefix), owners)
-            absent = map(not_, map(contains_word, repeat(structure), words))
+            absent = map(not_, map(contains_word, repeat(decl), words))
             missing += ((ids[k], Word(prefix + (owners[k],))) for k in compress(range(len(owners)), absent))
     missing.sort(key=lambda found: (found[0], found[1].sort_key))
     return [Violation(agent_id=i, rule=rules[i], missing=word) for i, word in missing]

@@ -15,7 +15,6 @@ from reflexgrid.algebra import Atom, Word, contains_word, equals, indexed_atoms,
 from reflexgrid.awareness import (
     AwarenessDecl,
     Violation,
-    _FactoredStructure,
     derive_structure,
     rule_requirements,
     standard_declaration,
@@ -89,6 +88,28 @@ class TestDeriveStructure:
                 peer_images=(frozenset(),),
             )
 
+    def test_controller_channel_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="controller_channel must match the agent count"):
+            AwarenessDecl(
+                root=T,
+                agent_atoms=(Atom("a", 0), Atom("a", 1)),
+                senses_root=(True, True),
+                peer_images=(frozenset(), frozenset()),
+                controller_atom=C,
+                controller_channel=(True,),
+            )
+
+    @pytest.mark.parametrize("order, named", [((0, 1, 0), "a0"), ((1, 0, 1), "a1"), ((0, 1, 1), "a1")])
+    def test_repeated_agent_atom_rejected_by_name(self, order, named):
+        atoms = tuple(Atom("a", i) for i in order)
+        with pytest.raises(ValueError, match=f"^agent atom {named} is repeated; each agent needs its own atom$"):
+            AwarenessDecl(
+                root=T,
+                agent_atoms=atoms,
+                senses_root=(True,) * 3,
+                peer_images=(frozenset(atoms),) * 3,
+            )
+
     def test_controller_wiring_requires_atom(self):
         with pytest.raises(ValueError):
             AwarenessDecl(
@@ -155,6 +176,10 @@ class TestValidateAwareness:
         with pytest.raises(ValueError):
             validate_awareness(standard_declaration(2), [RuleKind.PASSIVE])
 
+    def test_unknown_rule_is_named(self):
+        with pytest.raises(ValueError, match="unknown rule kind: 'reactive'"):
+            validate_awareness(standard_declaration(2), [RuleKind.REACTIVE, "reactive"])
+
 
 def sorted_violations(decl, rules):
     """Every agent's requirements sorted canonically, then filtered: the reference order."""
@@ -170,7 +195,8 @@ def sorted_violations(decl, rules):
 
 @st.composite
 def wirings(draw):
-    """A random wiring and one rule per agent; peers and channels may be missing."""
+    """A random wiring of distinct atoms and one rule per agent; peers and
+    channels may be missing."""
     keys = draw(
         st.lists(
             st.tuples(st.sampled_from("abxy"), st.none() | st.integers(0, 12)),
@@ -180,9 +206,6 @@ def wirings(draw):
         )
     )
     atoms = tuple(Atom(letter, index) for letter, index in keys)
-    # several agents may share one atom; the structure unions their wiring
-    repeats = draw(st.lists(st.sampled_from(atoms), max_size=2))
-    atoms = tuple(draw(st.permutations(atoms + tuple(repeats))))
     n = len(atoms)
     has_controller = draw(st.booleans())
     bools = st.lists(st.booleans(), min_size=n, max_size=n)
@@ -269,33 +292,10 @@ def test_factored_membership_matches_derived_structure(data):
     probes = [Word(tuple(atoms)) for atoms in drawn]
     # every member, and every word one atom away from one, where a wrong answer hides
     probes += [w for member in words for w in (member, *_replace_one(member, alphabet))]
-    structure = _FactoredStructure(decl)
     for word in probes:
-        assert (word in structure) == (word in words), word
+        assert (word in decl) == (word in words), word
         # the validator looks words up as plain tuples of their atoms
-        assert contains_word(structure, tuple(word)) == contains_word(words, tuple(word)) == (word in words)
-
-
-def test_repeated_atoms_are_looked_up_once(monkeypatch):
-    a0, a1 = Atom("a", 0), Atom("a", 1)
-    decl = AwarenessDecl(
-        root=T,
-        agent_atoms=(a0, a1, a0),
-        senses_root=(False, True, False),
-        peer_images=(frozenset(), frozenset({a1}), frozenset()),
-    )
-    calls = []
-
-    def counting(structure, word):
-        calls.append(word)
-        return contains_word(structure, word)
-
-    monkeypatch.setattr(reflexgrid.awareness, "contains_word", counting)
-    violations = validate_awareness(decl, [RuleKind.PROBABILISTIC] * 3)
-    assert len(calls) == 3 * 3  # Ta, Ta0a and Ta1a for each agent
-    missing = [(v.agent_id, str(v.missing)) for v in violations]
-    a0_missing = ["Ta0", "Ta0a0", "Ta1a0"]
-    assert missing == [(0, w) for w in a0_missing] + [(1, "Ta0a1")] + [(2, w) for w in a0_missing]
+        assert contains_word(decl, tuple(word)) == contains_word(words, tuple(word)) == (word in words)
 
 
 def test_validation_never_lists_the_structure(monkeypatch):
@@ -358,10 +358,11 @@ def test_satisfied_words_set_off_no_garbage_collection():
 
 
 def test_large_fleet_wiring_sets_off_no_garbage_collection():
-    # one wiring tuple per agent set off 28 collections here; the structure
-    # keeps the declaration's tuples and maps each atom to an untracked int
+    # the declaration keeps its own tuples and maps each atom to an int, which
+    # the collector does not track.  The atoms are built first: 20 000 of
+    # them set off 28 collections of their own
     n = 20_000
-    decl = standard_declaration(n)
+    atoms = indexed_atoms("a", n)
     rules = [RuleKind.REACTIVE] * n
     collections = []
 
@@ -374,11 +375,21 @@ def test_large_fleet_wiring_sets_off_no_garbage_collection():
     gc.collect()
     gc.callbacks.append(count)
     try:
+        # the fields of standard_declaration(n), so its index is built here
+        decl = AwarenessDecl(
+            root=T,
+            agent_atoms=atoms,
+            senses_root=(True,) * n,
+            peer_images=(frozenset(),) * n,
+            controller_atom=C,
+            controller_channel=(False,) * n,
+        )
         violations = validate_awareness(decl, rules)
     finally:
         gc.callbacks.remove(count)
         if not was_enabled:
             gc.disable()
+    assert decl == standard_declaration(n)
     assert violations == []
     assert collections == []
 
@@ -398,13 +409,14 @@ def test_shipped_b_looks_up_each_required_word_once(monkeypatch):
     assert len(calls) == n * (n + 1)
 
 
-A0, A1, A2 = Atom("a", 0), Atom("a", 1), Atom("a", 2)
-# agent 0 and agent 2 share a0; a2 senses nothing, holds no images and has no channel
-SHARED_ATOM_DECL = AwarenessDecl(
+A0, A1, A2, A3 = indexed_atoms("a", 4)
+# a2 senses nothing but holds an image and has a channel; a3 senses nothing,
+# holds no images and has no channel
+PARTIAL_DECL = AwarenessDecl(
     root=T,
-    agent_atoms=(A0, A1, A0, A2),
+    agent_atoms=(A0, A1, A2, A3),
     senses_root=(True, True, False, False),
-    peer_images=(frozenset({A1}), frozenset({A0, A1, A2}), frozenset({A2}), frozenset()),
+    peer_images=(frozenset({A1}), frozenset({A0, A1, A3}), frozenset({A3}), frozenset()),
     controller_atom=C,
     controller_senses_root=True,
     controller_channel=(False, True, True, False),
@@ -422,19 +434,19 @@ SHARED_ATOM_DECL = AwarenessDecl(
         [RuleKind.COMMANDED, RuleKind.PASSIVE, RuleKind.PROBABILISTIC, RuleKind.REACTIVE],
     ],
 )
-def test_shared_atoms_and_missing_wiring_match_per_word_reference(rules):
-    violations = validate_awareness(SHARED_ATOM_DECL, rules)
-    assert violations == sorted_violations(SHARED_ATOM_DECL, rules)
+def test_partial_wiring_matches_per_word_reference(rules):
+    violations = validate_awareness(PARTIAL_DECL, rules)
+    assert violations == sorted_violations(PARTIAL_DECL, rules)
     # a plain tuple of atoms equals its Word, so the type is checked apart
     assert all(type(v.missing) is Word for v in violations)
-    # a2 is wired to nothing, so every word its rule requires is missing
-    expected_a2 = {
+    # a3 is wired to nothing, so every word its rule requires is missing
+    expected_a3 = {
         RuleKind.PASSIVE: 0,
         RuleKind.REACTIVE: 1,
-        RuleKind.PROBABILISTIC: 4,  # T a2 and T p a2 for the three distinct atoms
+        RuleKind.PROBABILISTIC: 5,  # T a3 and T p a3 for the four atoms
         RuleKind.COMMANDED: 1,
     }[rules[3]]
-    assert sum(v.agent_id == 3 for v in violations) == expected_a2
+    assert sum(v.agent_id == 3 for v in violations) == expected_a3
 
 
 def test_indexed_atoms_equal_the_atoms_built_one_by_one():

@@ -153,6 +153,12 @@ class TestRun:
             assert main(["run", str(SCENARIOS / name), "--svg", str(out), *flags]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_unwritable_output_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # the run succeeds and writing its CSV over a directory fails
+        assert main(["run", str(SCENARIOS / "scenario_a.cfg"), "--csv", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
     def test_seed_override_changes_probabilistic_trace(self, small_scenario, tmp_path):
         path = small_scenario(rule="probabilistic", extra="p = 0.3\npeer_awareness = full\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -597,6 +603,27 @@ class TestMetrics:
 
     def test_missing_file_exits_1(self):
         assert main(["metrics", "/nope.csv", "--v-low", "8.0", "--v-high", "9.0"]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty CSV file"),
+            ("t,v_source,v_load,i_total,n_flex_on,shift_1\n0,1.0,1.0,1.0,0,0\n",
+             "bad shift column name 'shift_1'"),
+        ],
+        ids=["empty", "misnumbered_shift"],
+    )
+    def test_bad_csv_exits_1_with_its_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("t_end, window", [(80, (80, 200)), (200, (0, 200))])
+    def test_window_follows_the_sag_or_is_the_whole_run(self, t_end, window):
+        # a sag that ends at the horizon leaves no recovery, so the whole run is scored
+        text = SMALL.format(rule="reactive", extra="").replace("t_end = 80", f"t_end = {t_end}")
+        assert _metrics_window(parse_scenario_text(text).scenario) == window
 
 
 class TestUsage:

@@ -1134,6 +1134,11 @@ class TestCalibration:
         v_nominal, _ = calibrate_nominal(circuit, 3, 1, 10.0)
         assert v_nominal == v_load_for_count(circuit, 10.0, 3)
 
+    def test_heterogeneous_circuit_rejected(self):
+        circuit = CircuitConfig(0.08, (Branch(100.0, 50.0), Branch(100.0, 60.0)))
+        with pytest.raises(ValueError, match="calibration requires identical branches"):
+            calibrate_nominal(circuit, 10, 5, 10.0)
+
     @pytest.mark.parametrize("v_source_base", [math.nan, math.inf, -1.0])
     def test_unusable_source_voltage_rejected(self, v_source_base):
         # named here, not as the band that a NaN or negative nominal would give
