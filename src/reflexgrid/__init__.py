@@ -45,7 +45,7 @@ from .awareness import (
     standard_declaration,
     validate_awareness,
 )
-from .circuit import Branch, CircuitConfig, CircuitSolution, LoadState, solve, v_load_for_count
+from .circuit import Branch, CircuitConfig, CircuitSolution, solve, v_load_for_count
 from .engine import (
     ControllerConfig,
     Disturbance,
@@ -76,7 +76,6 @@ __all__ = [
     "Disturbance",
     "ExpressionError",
     "Instruction",
-    "LoadState",
     "Metrics",
     "Plan",
     "Polynomial",

@@ -115,15 +115,8 @@ class Word(tuple):
         return Word(out)
 
     @property
-    def is_unit(self) -> bool:
-        return not self
-
-    @property
     def sort_key(self) -> tuple:
         return (len(self), tuple(a.sort_key for a in self))
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self + other)
 
     def __str__(self) -> str:
         return "".join(map(str, self)) or "1"
@@ -137,7 +130,7 @@ UNIT_WORD = Word()
 
 def reflection_depth(w: Word) -> int:
     """Number of reflection levels above the root atom (``Txy`` has 2)."""
-    if w.is_unit:
+    if not w:
         raise ValueError("the unit word has no root process")
     return len(w) - 1
 
@@ -169,7 +162,7 @@ class Polynomial(frozenset):
         return Polynomial(self | other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(a.concat(b) for a in frozenset.__iter__(self) for b in frozenset.__iter__(other))
+        return Polynomial(Word(a + b) for a in frozenset.__iter__(self) for b in frozenset.__iter__(other))
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:

@@ -2,9 +2,10 @@
 parallel branches.
 
 Each branch carries one agent's base load, optionally paralleled by that
-agent's flexible load.  The single load-bus voltage is the signal the
-agents sense; connecting flexible loads pulls it down, disconnecting them
-lets it rise.
+agent's flexible load.  Which flexible loads are connected is a bool
+vector in branch order, the same one the engine and the planner pass.
+The single load-bus voltage is the signal the agents sense; connecting
+flexible loads pulls it down, disconnecting them lets it rise.
 """
 
 from __future__ import annotations
@@ -81,36 +82,24 @@ class CircuitConfig:
 
 
 @dataclass(frozen=True)
-class LoadState:
-    """Which flexible loads are connected; length matches the circuit."""
-
-    flex_on: tuple[bool, ...]
-
-    @staticmethod
-    def of(flags: Sequence[bool]) -> "LoadState":
-        return LoadState(tuple(map(bool, flags)))
-
-
-@dataclass(frozen=True)
 class CircuitSolution:
     v_load: float
     i_total: float
     branch_currents: tuple[float, ...]
 
 
-def solve(config: CircuitConfig, v_source: float, loads: LoadState) -> CircuitSolution:
+def solve(config: CircuitConfig, v_source: float, flex_on: Sequence[bool]) -> CircuitSolution:
     """Solve the divider: bus voltage, source current, per-branch currents.
 
-    The parallel bank has total conductance G, so the bus sits at
-    ``v_source / (1 + r_source * G)``.
+    ``flex_on`` says, in branch order, which flexible loads are connected;
+    any bool sequence of length N will do.  The parallel bank has total
+    conductance G, so the bus sits at ``v_source / (1 + r_source * G)``.
     """
     if v_source < 0:
         raise ValueError(f"v_source must be non-negative, got {v_source}")
-    if len(loads.flex_on) != config.n_branches:
-        raise ValueError(
-            f"load state has {len(loads.flex_on)} entries for {config.n_branches} branches"
-        )
-    on = np.asarray(loads.flex_on, dtype=bool)
+    on = np.asarray(flex_on, dtype=bool)
+    if on.shape != (config.n_branches,):
+        raise ValueError(f"flex_on has shape {on.shape} for {config.n_branches} branches")
     g_branch = config.base_conductances() + np.where(on, config.flex_conductances(), 0.0)
     g_total = float(g_branch.sum())
     v_load = v_source / (1.0 + config.r_source * g_total)

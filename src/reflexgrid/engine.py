@@ -149,7 +149,7 @@ from functools import lru_cache
 import numpy as np
 
 from .agents import AgentConfig, Band, RuleKind, controller_plan
-from .circuit import CircuitConfig, LoadState, solve, v_load_for_count
+from .circuit import CircuitConfig, solve, v_load_for_count
 
 # recorded shifts of at most this many (step, agent) entries: the record is
 # small, but ``Trace.shifts`` materializes horizon x N int32 (256 MiB here)
@@ -175,10 +175,6 @@ class Disturbance:
             raise ValueError(f"need 0 <= t_start <= t_end, got [{self.t_start}, {self.t_end})")
         if not math.isfinite(self.delta_v):
             raise ValueError(f"delta_v must be finite, got {self.delta_v}")
-
-    @staticmethod
-    def none() -> "Disturbance":
-        return Disturbance(0, 0, 0.0)
 
 
 def _check_v_source_base(v_source_base: float) -> None:
@@ -376,8 +372,8 @@ def initial_sensed_voltage(scenario: Scenario) -> float:
     configs = dict(zip(ids, scenario.agents))
     # each distinct config's schedule is read once
     desired = {i: (0 - a.phase) % a.period < a.on_steps for i, a in configs.items()}
-    vs0 = source_voltage(scenario, 0)
-    return solve(scenario.circuit, vs0, LoadState.of(map(desired.__getitem__, ids))).v_load
+    flex_on = np.fromiter(map(desired.__getitem__, ids), bool, len(ids))
+    return solve(scenario.circuit, source_voltage(scenario, 0), flex_on).v_load
 
 
 def source_voltage(scenario: Scenario, t: int) -> float:

@@ -242,7 +242,7 @@ def read_trace_csv(path: str | Path) -> Trace:
 
 
 def _read_trace(fh) -> Trace:
-    line = fh.readline()
+    line = fh.readline().removeprefix("\ufeff")  # a byte-order mark
     if not line:
         raise ValueError("empty CSV file")
     header = line.rstrip("\r\n").split(",")

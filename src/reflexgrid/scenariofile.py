@@ -259,4 +259,6 @@ def parse_scenario_text(text: str) -> ScenarioBundle:
 
 
 def load_scenario(path: str | Path) -> ScenarioBundle:
-    return parse_scenario_text(Path(path).read_text(encoding="utf-8"))
+    # a leading byte-order mark is dropped after decoding, so that a decode
+    # error still gives its offset in the file
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))

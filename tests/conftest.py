@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reflexgrid.agents import Action, AgentConfig, AgentState, Band, RuleKind, agent_step, controller_plan, deposit_instruction
-from reflexgrid.circuit import CircuitConfig, LoadState, solve
+from reflexgrid.circuit import CircuitConfig, solve
 from reflexgrid.engine import (
     ControllerConfig,
     Disturbance,
@@ -118,7 +118,7 @@ def run_reference(scenario: Scenario) -> Trace:
             states[i], on = agent_step(cfg, states[i], t, sensed, float(draws[i]))
             flex_on.append(on)
 
-        sol = solve(scenario.circuit, vs, LoadState.of(flex_on))
+        sol = solve(scenario.circuit, vs, flex_on)
         v_source[t] = vs
         v_load[t] = sol.v_load
         i_total[t] = sol.i_total

@@ -26,7 +26,7 @@ from reflexgrid.algebra import (
     parse,
 )
 from reflexgrid.awareness import standard_declaration, validate_awareness
-from reflexgrid.circuit import Branch, CircuitConfig, LoadState, solve
+from reflexgrid.circuit import Branch, CircuitConfig, solve
 from reflexgrid.cli import main
 from reflexgrid.engine import Disturbance, Scenario, calibrate_nominal, compute_metrics, run
 from reflexgrid.scenariofile import load_scenario
@@ -117,7 +117,7 @@ def test_acceptance_3_circuit_oracle():
             tuple(Branch(float(rb), float(rf)) for rb, rf in res),
         )
         vs = float(rng.uniform(1.0, 1000.0))
-        loads = LoadState.of(rng.random(n) < 0.5)
+        loads = rng.random(n) < 0.5
         sol = solve(config, vs, loads)
         v, i, branch = nodal_oracle(config, vs, loads)
         worst = max(worst, rel_err(sol.v_load, v), rel_err(sol.i_total, i))

@@ -10,6 +10,7 @@ from reflexgrid.agents import (
     AgentState,
     Band,
     Instruction,
+    Plan,
     RuleKind,
     agent_step,
     controller_plan,
@@ -235,6 +236,10 @@ class TestLatchedProbabilistic:
         assert state.shift == 1
         state, _ = agent_step(c, state, 1, HIGH, 0.9)  # new episode, draw loses
         assert state.shift == 1
+
+
+def test_plan_is_not_equal_to_another_type():
+    assert (Plan(np.zeros(2, np.int8)) == "x") is False
 
 
 class TestControllerPlan:

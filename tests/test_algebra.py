@@ -145,6 +145,12 @@ class TestOperations:
         assert ZERO**0 == UNIT
         assert parse("x+y") ** 0 == UNIT
 
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_pow_rejects_an_exponent_that_is_not_a_natural_number(self, n):
+        with pytest.raises(ValueError) as exc:
+            parse("x") ** n
+        assert str(exc.value) == f"exponent must be a non-negative integer, got {n}"
+
     def test_apply_awareness(self):
         assert apply_awareness(words("T"), [atom("x")]) == words("T", "Tx")
         assert apply_awareness(words("T", "Tx"), [atom("y")]) == words("T", "Tx", "Ty", "Txy")
@@ -245,6 +251,11 @@ class TestAtoms:
     )
     def test_word_of_text(self, text, atoms):
         assert Word.of(text) == atoms
+
+    def test_word_of_mixes_atoms_and_text(self):
+        w = Word.of(Atom("T"), "x1", "1")
+        assert w == (Atom("T"), Atom("x", 1))
+        assert str(w) == "Tx1"
 
     @pytest.mark.parametrize("text", ["2", "T x"])
     def test_word_of_rejects_text_that_is_not_atoms_and_units(self, text):

@@ -141,6 +141,11 @@ class TestRuleRequirements:
         with pytest.raises(ValueError):
             rule_requirements(RuleKind.COMMANDED, T, Atom("a", 0), [Atom("a", 0)], None)
 
+    def test_unknown_rule_kind_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            rule_requirements("bogus", T, Atom("a", 0), [Atom("a", 0)])
+        assert str(exc.value) == "unknown rule kind: 'bogus'"
+
 
 class TestValidateAwareness:
     def test_matrix(self):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from reflexgrid.circuit import Branch, CircuitConfig, LoadState, solve, v_load_for_count
+from reflexgrid.circuit import Branch, CircuitConfig, solve, v_load_for_count
 
 
-def nodal_oracle(config: CircuitConfig, v_source: float, loads: LoadState):
+def nodal_oracle(config: CircuitConfig, v_source: float, flex_on):
     """Independent route: assemble the full linear system over the bus
     voltage, the source current, and one current per resistor, then solve
     it numerically.  Shares only Ohm's and Kirchhoff's laws with the
@@ -16,7 +16,7 @@ def nodal_oracle(config: CircuitConfig, v_source: float, loads: LoadState):
     resistors = []  # (branch index, resistance)
     for k, branch in enumerate(config.branches):
         resistors.append((k, branch.r_base))
-        if loads.flex_on[k]:
+        if flex_on[k]:
             resistors.append((k, branch.r_flex))
     m = 2 + len(resistors)  # unknowns: v_load, i_total, i_r...
     a = np.zeros((m, m))
@@ -44,25 +44,42 @@ def rel_err(a, b):
 class TestSolveExamples:
     def test_equal_divider(self):
         config = CircuitConfig(10.0, (Branch(10.0, 10.0),))
-        sol = solve(config, 10.0, LoadState.of([False]))
+        sol = solve(config, 10.0, [False])
         assert sol.v_load == pytest.approx(5.0, rel=1e-12)
 
     def test_two_branch_hand_computation(self):
         # G = 1/4 + 1/4 + 1/4 = 0.75 S, so v_load = 12 / 1.75 = 48/7
         config = CircuitConfig.homogeneous(2, 1.0, 4.0, 4.0)
-        sol = solve(config, 12.0, LoadState.of([True, False]))
+        sol = solve(config, 12.0, [True, False])
         assert sol.v_load == pytest.approx(48.0 / 7.0, rel=1e-12)
-        v, i, branch = nodal_oracle(config, 12.0, LoadState.of([True, False]))
+        v, i, branch = nodal_oracle(config, 12.0, [True, False])
         assert rel_err(sol.v_load, v) < 1e-9
         assert rel_err(sol.i_total, i) < 1e-9
 
     def test_connecting_flex_strictly_lowers_v_load(self):
         config = CircuitConfig.homogeneous(2, 1.0, 4.0, 4.0)
-        base = solve(config, 12.0, LoadState.of([False, False])).v_load
-        assert solve(config, 12.0, LoadState.of([True, False])).v_load < base
-        assert solve(config, 12.0, LoadState.of([True, True])).v_load < solve(
-            config, 12.0, LoadState.of([True, False])
+        base = solve(config, 12.0, [False, False]).v_load
+        assert solve(config, 12.0, [True, False]).v_load < base
+        assert solve(config, 12.0, [True, True]).v_load < solve(
+            config, 12.0, [True, False]
         ).v_load
+
+
+class TestConnectionVector:
+    def test_list_tuple_and_array_solve_identically(self):
+        config = CircuitConfig(0.3, (Branch(20.0, 10.0), Branch(7.0, 3.5), Branch(1.5, 40.0)))
+        flags = [True, False, True]
+        sols = [solve(config, 12.0, v) for v in (flags, tuple(flags), np.array(flags, dtype=bool))]
+        # finite, non-zero floats compare equal only when their bits are equal
+        assert sols[1] == sols[0] and sols[2] == sols[0]
+        assert type(sols[0].branch_currents) is tuple
+
+    def test_package_no_longer_exports_a_load_state_wrapper(self):
+        import reflexgrid
+        import reflexgrid.circuit
+
+        assert "LoadState" not in reflexgrid.__all__
+        assert not hasattr(reflexgrid.circuit, "LoadState")
 
 
 class TestValidation:
@@ -98,13 +115,20 @@ class TestValidation:
 
     def test_dimension_mismatch(self):
         config = CircuitConfig.homogeneous(3, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            solve(config, 1.0, LoadState.of([True]))
+        with pytest.raises(ValueError, match=r"flex_on has shape \(1,\) for 3 branches"):
+            solve(config, 1.0, [True])
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1)])
+    def test_shape_other_than_n_rejected(self, shape):
+        config = CircuitConfig.homogeneous(4, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError) as err:
+            solve(config, 1.0, np.ones(shape, dtype=bool))
+        assert str(err.value) == f"flex_on has shape {shape} for 4 branches"
 
     def test_negative_source_rejected(self):
         config = CircuitConfig.homogeneous(1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            solve(config, -1.0, LoadState.of([False]))
+            solve(config, -1.0, [False])
 
 
 class TestKirchhoffInvariants:
@@ -118,7 +142,7 @@ class TestKirchhoffInvariants:
                 tuple(Branch(float(rb), float(rf)) for rb, rf in r),
             )
             vs = float(rng.uniform(1.0, 1000.0))
-            loads = LoadState.of(rng.random(n) < 0.5)
+            loads = rng.random(n) < 0.5
             sol = solve(config, vs, loads)
             assert rel_err(sol.i_total, sum(sol.branch_currents)) < 1e-9
             assert rel_err(vs, sol.i_total * config.r_source + sol.v_load) < 1e-9
@@ -135,7 +159,7 @@ class TestKirchhoffInvariants:
                 tuple(Branch(float(rb), float(rf)) for rb, rf in r),
             )
             vs = float(rng.uniform(1.0, 1000.0))
-            loads = LoadState.of(rng.random(n) < 0.5)
+            loads = rng.random(n) < 0.5
             sol = solve(config, vs, loads)
             v, i, branch = nodal_oracle(config, vs, loads)
             worst = max(worst, rel_err(sol.v_load, v), rel_err(sol.i_total, i))
@@ -145,7 +169,7 @@ class TestKirchhoffInvariants:
 
     def test_linearity_in_source_voltage(self):
         config = CircuitConfig.homogeneous(5, 0.3, 20.0, 10.0)
-        loads = LoadState.of([True, False, True, False, True])
+        loads = [True, False, True, False, True]
         a = solve(config, 10.0, loads)
         b = solve(config, 25.0, loads)
         k = 2.5
@@ -158,14 +182,14 @@ class TestKirchhoffInvariants:
 class TestVLoadForCount:
     def test_consistency_with_solve_at_extremes(self):
         config = CircuitConfig.homogeneous(10, 0.08, 100.0, 50.0)
-        all_off = solve(config, 10.0, LoadState.of([False] * 10)).v_load
-        all_on = solve(config, 10.0, LoadState.of([True] * 10)).v_load
+        all_off = solve(config, 10.0, [False] * 10).v_load
+        all_on = solve(config, 10.0, [True] * 10).v_load
         assert v_load_for_count(config, 10.0, 0) == pytest.approx(all_off, rel=1e-12)
         assert v_load_for_count(config, 10.0, 10) == pytest.approx(all_on, rel=1e-12)
 
     def test_matches_solve_for_any_choice_by_symmetry(self):
         config = CircuitConfig.homogeneous(6, 0.08, 100.0, 50.0)
-        chosen = LoadState.of([False, True, False, True, True, False])
+        chosen = [False, True, False, True, True, False]
         assert v_load_for_count(config, 10.0, 3) == pytest.approx(
             solve(config, 10.0, chosen).v_load, rel=1e-12
         )

@@ -313,6 +313,24 @@ class TestUnreadableFiles:
         assert err == (f"error: trace file {path} is not UTF-8: "
                        f"invalid continuation byte at byte {len(head) + 5}\n")
 
+    def test_byte_order_mark_is_not_counted_out_of_the_offset(self, tmp_path, capsys):
+        head = b"\xef\xbb\xbft,v_source,v_load,i_total,n_flex_on\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(head + b"0,\xe9,1,1,1\n")
+        assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: trace file {path} is not UTF-8: "
+                       f"invalid continuation byte at byte {len(head) + 2}\n")
+
+    def test_byte_order_mark_scenario_validates_like_the_plain_file(self, tmp_path, capsys):
+        plain = SCENARIOS / "scenario_a.cfg"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["validate", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr() == expected
+
     @pytest.mark.parametrize(
         "header, row",
         [("", "99999999999999999999"), (",shift_0", "0,99999999999")],

@@ -852,7 +852,7 @@ class TestPassiveBehaviour:
             AgentConfig(6, 3, 0, RuleKind.PASSIVE, sc.band.v_low, sc.band.v_high),
             AgentConfig(10, 4, 2, RuleKind.PASSIVE, sc.band.v_low, sc.band.v_high),
         )
-        sc = Scenario(sc.circuit, sc.v_source_base, Disturbance.none(), agents,
+        sc = Scenario(sc.circuit, sc.v_source_base, Disturbance(0, 0, 0.0), agents,
                       sc.band, 400, 0)
         trace = run(sc)
         lcm = math.lcm(6, 10)

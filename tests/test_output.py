@@ -289,6 +289,24 @@ def test_malformed_csv_rejected(tmp_path, trace, mangle, message):
     assert message in str(exc.value)
 
 
+def test_underscored_number_is_rejected(tmp_path):
+    # Python's float("1_0") is 10.0; np.loadtxt's own number parser takes no
+    # underscores, so the row fails the parse and the field check names it
+    path = tmp_path / "bad.csv"
+    path.write_text("t,v_source,v_load,i_total,n_flex_on\n0,1.0,1.0,1.0,0\n1,1_0,1.0,1.0,0\n")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == "row 2: cannot parse '1,1_0,1.0,1.0,0'"
+
+
+def test_byte_order_mark_is_dropped(tmp_path, trace):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + trace_to_csv(trace, include_shifts=True).encode())
+    loaded = read_trace_csv(path)
+    for name in ("v_source", "v_load", "i_total", "n_flex_on", "shifts"):
+        assert np.array_equal(getattr(loaded, name), getattr(trace, name))
+
+
 def test_out_of_order_step_names_its_row_once(tmp_path, trace):
     path = tmp_path / "bad.csv"
     lines = trace_to_csv(trace).splitlines()

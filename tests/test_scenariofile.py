@@ -3,11 +3,20 @@
 import dataclasses
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from reflexgrid.agents import AgentConfig, RuleKind
-from reflexgrid.scenariofile import MAX_HORIZON, _AGENT_FIELDS, ScenarioFileError, parse_scenario_text
+from reflexgrid.scenariofile import (
+    MAX_HORIZON,
+    _AGENT_FIELDS,
+    ScenarioFileError,
+    load_scenario,
+    parse_scenario_text,
+)
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 MINIMAL = """\
 [circuit]
@@ -61,15 +70,39 @@ def test_unknown_section_rejected():
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(ScenarioFileError):
-        parse_scenario_text(MINIMAL + "\n[circuit]\nr_source = 0.1\n")
+    text = MINIMAL + "\n[source]\nv_base = 11.0\n"
+    with pytest.raises(ScenarioFileError) as exc:
+        parse_scenario_text(text)
+    n = len(text.splitlines())
+    assert exc.value.line == n
+    assert str(exc.value) == f"line {n}: duplicate key 'v_base' in section [source]"
 
 
 def test_missing_section_rejected():
     text = MINIMAL.replace("[source]\nv_base = 10.0\n", "")
     with pytest.raises(ScenarioFileError) as exc:
         parse_scenario_text(text)
-    assert "source" in str(exc.value)
+    assert str(exc.value) == "missing required section [source]"
+    assert exc.value.line is None
+
+
+MINIMAL_LINES = len(MINIMAL.splitlines())
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (MINIMAL.replace("[circuit]", "[circuit", 1), "malformed section header", 1),
+        (MINIMAL + "\n[agent.x]\nperiod = 5\n", "bad agent id in section [agent.x]", MINIMAL_LINES + 2),
+        ("r_source = 0.08\n" + MINIMAL, "key outside of any section", 1),
+        (MINIMAL.replace("v_base = 10.0\n", ""), "missing required key 'v_base' in section [source]", None),
+    ],
+)
+def test_structure_errors_name_their_line(text, message, line):
+    with pytest.raises(ScenarioFileError) as exc:
+        parse_scenario_text(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_malformed_line_reports_position():
@@ -330,14 +363,28 @@ def test_source_voltage_is_named_before_calibration(value):
         parse_scenario_text(MINIMAL.replace("v_base = 10.0", f"v_base = {value}"))
 
 
-def test_reference_files_load():
-    from pathlib import Path
+def test_byte_order_mark_is_dropped(tmp_path):
+    plain = SCENARIOS / "scenario_a.cfg"
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_scenario(path) == load_scenario(plain)
 
+
+def test_byte_order_mark_keeps_decode_offsets_in_file_bytes(tmp_path):
+    path = tmp_path / "bom.cfg"
+    head = b"\xef\xbb\xbf[circuit]\n"
+    path.write_bytes(head + b"# caf\xe9\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_scenario(path)
+    assert exc.value.start == len(head) + 5
+
+
+def test_reference_files_load():
     for name, rule in (
         ("scenario_a.cfg", RuleKind.REACTIVE),
         ("scenario_b.cfg", RuleKind.PROBABILISTIC),
         ("scenario_c.cfg", RuleKind.COMMANDED),
     ):
-        bundle = parse_scenario_text((Path(__file__).parent.parent / "scenarios" / name).read_text())
+        bundle = parse_scenario_text((SCENARIOS / name).read_text())
         assert bundle.scenario.n_agents == 100
         assert all(a.rule is rule for a in bundle.scenario.agents)
