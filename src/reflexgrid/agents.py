@@ -77,7 +77,6 @@ class AgentConfig:
     v_high: float
     p: float = 1.0
     max_shift: int | None = None  # defaults to one full period
-    p_latch: bool = False  # draw once per out-of-band episode instead of per step
 
     def __post_init__(self):
         # schedules are int64 in the engine
@@ -105,8 +104,6 @@ class AgentState:
     ``flex_connected``/``run_remaining`` are the cycle machine: whether the
     flexible load is running and for how many more steps.  ``override`` is
     the commanded connection mask (-1 suppressed, 0 natural, +1 forced on).
-    ``latch_side``/``latch_react`` only matter for probabilistic agents in
-    latched mode.
     """
 
     shift: int = 0
@@ -114,8 +111,6 @@ class AgentState:
     flex_connected: bool = False
     run_remaining: int = 0
     override: int = 0
-    latch_side: int = 0  # 0 none, +1 low-voltage episode, -1 high-voltage episode
-    latch_react: bool = False
 
     @staticmethod
     def initial(config: AgentConfig) -> "AgentState":
@@ -171,33 +166,29 @@ def _clamped(shift: int, delta: int, max_shift: int) -> int:
     return max(-max_shift, min(max_shift, shift + delta))
 
 
-def _decide_shift(config: AgentConfig, state: AgentState, sensed_v: float, rng_draw: float) -> tuple[int, int, bool]:
-    """Rule dispatch; returns (new shift, latch side, latch react)."""
+def _decide_shift(config: AgentConfig, state: AgentState, sensed_v: float, rng_draw: float) -> int:
+    """Rule dispatch; returns the new shift."""
     shift = state.shift
     if config.rule is RuleKind.PASSIVE:
-        return shift, 0, False
+        return shift
     if config.rule is RuleKind.COMMANDED:
         if state.pending is Action.POSTPONE:
             shift = _clamped(shift, +1, config.max_shift)
         elif state.pending is Action.ADVANCE:
             shift = _clamped(shift, -1, config.max_shift)
-        return shift, 0, False
+        return shift
 
     if sensed_v < config.v_low:
-        side, delta = +1, +1
+        delta = +1
     elif sensed_v > config.v_high:
-        side, delta = -1, -1
+        delta = -1
     else:
-        return shift, 0, False
+        return shift
 
-    if config.rule is RuleKind.REACTIVE:
-        return _clamped(shift, delta, config.max_shift), 0, False
-
-    # probabilistic
-    if config.p_latch:
-        react = state.latch_react if state.latch_side == side else rng_draw < config.p
-        return (_clamped(shift, delta, config.max_shift) if react else shift), side, react
-    return (_clamped(shift, delta, config.max_shift) if rng_draw < config.p else shift), 0, False
+    # a probabilistic agent decides each triggering step by that step's draw
+    if config.rule is RuleKind.REACTIVE or rng_draw < config.p:
+        return _clamped(shift, delta, config.max_shift)
+    return shift
 
 
 def agent_step(
@@ -214,7 +205,7 @@ def agent_step(
     [0, 1)); deterministic rules ignore it, which keeps draw streams
     rule-independent.
     """
-    shift, latch_side, latch_react = _decide_shift(config, state, sensed_v, rng_draw)
+    shift = _decide_shift(config, state, sensed_v, rng_draw)
 
     commanded = config.rule is RuleKind.COMMANDED
     override = state.override
@@ -251,8 +242,6 @@ def agent_step(
         flex_connected=connected,
         run_remaining=run,
         override=override,
-        latch_side=latch_side,
-        latch_react=latch_react,
     )
     return new_state, flex_on
 

@@ -55,29 +55,29 @@ horizon + max_shift + 1.  ``Scenario`` therefore requires horizon + 3 *
 max(period) + max(max_shift) < 2**63, with the maxima taken over the
 fleet's distinct ``AgentConfig`` objects.
 
-A step is free when it moves no shift, issues no instruction and touches
-no latch state: it is quiet, or it triggers but no agent reacts (no draw
-hits).  On a free step nothing but time reaches the cycle machine, so
-fleets with draws or a controller (the others are left to the limit-cycle
-watch below) advance it in free-run blocks, which ``run`` opens with
-``_free_run_rows`` and closes with ``_free_run_state``: from a free step
-t, the connection vectors of steps [t, t + m) come from a few array
-operations on (nxt, run_end).  With m below every period at most one window
-opens per cohort in the block, at max(nxt, t), and it starts a run iff the
-current one has ended by then, which is what stepping the machine m times
-decides.  So a cohort is connected on the steps before its run_end and on
-at most one window, and the block takes these bounds relative to t and
-clipped to [0, m]: clipping changes no comparison with a step of the
-block, so the (m, k) comparisons run on the narrowest unsigned type that
-holds m (one byte for m < 256) instead of on int64 absolute steps.  Every
-step in the block still makes its own trigger test, its draws call and, on
-a control step, its plan, in step order.
+A step is free when it moves no shift and issues no instruction: it is
+quiet, or it triggers but no agent reacts (no draw hits).  On a free step
+nothing but time reaches the cycle machine, so fleets with draws or a
+controller (the others are left to the limit-cycle watch below) advance it
+in free-run blocks, which ``run`` opens with ``_free_run_rows`` and closes
+with ``_free_run_state``: from a free step t, the connection vectors of
+steps [t, t + m) come from a few array operations on (nxt, run_end).  With
+m below every period at most one window opens per cohort in the block, at
+max(nxt, t), and it starts a run iff the current one has ended by then,
+which is what stepping the machine m times decides.  So a cohort is
+connected on the steps before its run_end and on at most one window, and
+the block takes these bounds relative to t and clipped to [0, m]: clipping
+changes no comparison with a step of the block, so the (m, k) comparisons
+run on the narrowest unsigned type that holds m (one byte for m < 256)
+instead of on int64 absolute steps.  Every step in the block still makes
+its own trigger test, its draws call and, on a control step, its plan, in
+step order.
 
-A reacting step inside a block, one where only plain probabilistic cohorts
-move, patches the block instead of closing it (``_Fleet.patch``).  The
-state arrays hold each untouched cohort's state before the block's first
-step blk_t.  A moving cohort is free-run to t, its window moved, and step t
-run by the one-step machine, which opens a window one step late after an
+A reacting step inside a block, one where only probabilistic cohorts move,
+patches the block instead of closing it (``_Fleet.patch``).  The state
+arrays hold each untouched cohort's state before the block's first step
+blk_t.  A moving cohort is free-run to t, its window moved, and step t run
+by the one-step machine, which opens a window one step late after an
 advance.  That state, written back, is the state before t + 1 and has nxt
 >= t + 1, so max(nxt, blk_t) = nxt and the closed form over the rest of
 the block, at its close or at a later patch, treats the cohort exactly as
@@ -86,12 +86,11 @@ t on.  A block patches at most as many cohorts as it has steps, so that
 patching costs a few scalar operations per step.  Any other step that is
 not free closes the block and dispatches (``_Fleet.react``) with the
 inputs already fetched, after the machine state is advanced by the steps
-the block committed: reactive cohorts all move on every trigger, latched
-ones need their episode state and commanded ones their override, and those
-moves run across all cohorts at once.  m starts at 1 (such a block is just
-the one-step machine), doubles after a block that ran to its end, drops
-back to 1 after a stop, and stays below every period and within the
-engine's cache bytes.
+the block committed: reactive cohorts all move on every trigger and
+commanded ones need their override, and those moves run across all cohorts
+at once.  m starts at 1 (such a block is just the one-step machine),
+doubles after a block that ran to its end, drops back to 1 after a stop,
+and stays below every period and within the engine's cache bytes.
 
 Passive and reactive agents with equal configurations and equal circuit
 branches get equal inputs on every step, so they stay in equal states: the
@@ -449,7 +448,7 @@ def run(scenario: Scenario) -> Trace:
     # what the loop reads on most steps stays in locals: a free step costs
     # a few microseconds, of which an attribute lookup is a visible share
     k, first, cohort, period, on_steps = f.k, f.first, f.cohort, f.period, f.on_steps
-    has_reactive, has_prob, has_cmd, has_latch = f.has_reactive, f.has_prob, f.has_cmd, f.has_latch
+    has_reactive, has_prob, has_cmd = f.has_reactive, f.has_prob, f.has_cmd
     reactive_mask, react_p, uniform_thresholds = f.reactive_mask, f.react_p, f.uniform_thresholds
     v_low0, v_high0, r_source = f.v_low0, f.v_high0, scenario.circuit.r_source
 
@@ -462,7 +461,6 @@ def run(scenario: Scenario) -> Trace:
     v_init = initial_sensed_voltage(scenario)
     plan_at = 0 if ctrl is not None else horizon  # the next control step
     flex_on = f.run_end >= 0  # connected after step -1
-    latch_dirty = False  # latch state may be nonzero
     # (g_total, n_on) per cohort connection vector, cleared when full
     circuit_memo: dict[bytes, tuple[float, int]] = {}
     memo_entries = max(1, _ENGINE_CACHE_BYTES // (k + 256))
@@ -471,10 +469,10 @@ def run(scenario: Scenario) -> Trace:
     watch = _Watch(f, scenario, (trace_v, trace_i, trace_n)) if not has_prob and ctrl is None else None
     # from a free step the connection vectors of the next ``block_len`` steps
     # are computed at once, and steps use them while they stay free or move
-    # only plain probabilistic cohorts, whose columns ``_Fleet.patch``
-    # rewrites.  ``block_len`` doubles after a block that ran to its end and
-    # restarts at 1 after a stop; a block holds at most one window per
-    # cohort and at most _ENGINE_CACHE_BYTES.
+    # only probabilistic cohorts, whose columns ``_Fleet.patch`` rewrites.
+    # ``block_len`` doubles after a block that ran to its end and restarts
+    # at 1 after a stop; a block holds at most one window per cohort and at
+    # most _ENGINE_CACHE_BYTES.
     max_block = min(int(period.min()) - 1, max(1, _ENGINE_CACHE_BYTES // k))
     block_len = 1
     rows = None  # the open block's vectors, one row per step from blk_t
@@ -507,19 +505,15 @@ def run(scenario: Scenario) -> Trace:
             draws = uniform_draws(scenario.seed, t, n)
         quiet = not triggered and commands is None
         if not quiet:
-            # agents that react to the trigger; latched ones are settled by
-            # the reactions
-            own = draws[first] if has_prob else None
-            reacts = own < react_p if has_prob else reactive_mask
+            # agents that react to the trigger
+            reacts = draws[first] < react_p if has_prob else reactive_mask
 
-        # a free step moves no shift, issues no instruction and touches no
-        # latch state; inside an open block, a step that moves only plain
-        # probabilistic cohorts patches their columns instead of closing it
-        free = patch = False
+        # a free step moves no shift and issues no instruction; inside an
+        # open block, a step that moves only probabilistic cohorts patches
+        # their columns instead of closing it
+        free, patch = quiet, False
         if watch is None:
-            if quiet:
-                free = not latch_dirty
-            elif commands is None and not has_latch:
+            if not quiet and commands is None:
                 movers = (reacts if uniform_thresholds else reacts & (trigger != 0)).nonzero()[0]
                 free = movers.size == 0
                 patch = (
@@ -546,14 +540,11 @@ def run(scenario: Scenario) -> Trace:
                         rows |= f.forced
                     keys = rows.tobytes()  # row i is keys[i * k : (i + 1) * k]
 
-        if quiet:
-            latch_dirty = False  # a quiet step ends every latch episode
-        elif patch:
+        if patch:
             f.patch(t, movers, trigger, rows, t - blk_t)
             keys = rows.tobytes()
         elif not free:
-            moved = f.react(t, trigger, reacts, own, commands, latch_dirty)
-            latch_dirty = has_latch
+            moved = f.react(t, trigger, reacts, commands)
             if watch is not None:
                 watch.widen(moved)
 
@@ -589,7 +580,7 @@ def run(scenario: Scenario) -> Trace:
 
 class _Fleet:
     """The fleet as cohorts: each cohort's constants and the state of its
-    cycle machine, shift and latch, with the moves that change that state.
+    cycle machine and shift, with the moves that change that state.
 
     The constants are read once per distinct config object and spread to
     the cohorts that share it; the ones a patch reads per cohort are also
@@ -613,18 +604,16 @@ class _Fleet:
         phase = per_cohort([a.phase for a in distinct], np.int64)
         self.max_shift = max_shift = per_cohort([a.max_shift for a in distinct], np.int64)
         self.min_shift = -max_shift
-        self.prob = prob = per_cohort([a.p for a in distinct])
-        latch_cfg = per_cohort([a.p_latch for a in distinct], bool)
+        prob = per_cohort([a.p for a in distinct])
         self.reactive_mask = reactive = per_cohort([a.rule is RuleKind.REACTIVE for a in distinct], bool)
         prob_mask = per_cohort([a.rule is RuleKind.PROBABILISTIC for a in distinct], bool)
         self.cmd_mask = per_cohort([a.rule is RuleKind.COMMANDED for a in distinct], bool)
-        self.latched = prob_mask & latch_cfg
         self.has_reactive, self.has_prob = bool(reactive.any()), bool(prob_mask.any())
-        self.has_cmd, self.has_latch = bool(self.cmd_mask.any()), bool(self.latched.any())
+        self.has_cmd = bool(self.cmd_mask.any())
         # a triggered cohort reacts iff its draw is below react_p: reactive
-        # ones always (draws are below 1), plain probabilistic ones with p,
-        # the others never (latched ones are settled per episode)
-        self.react_p = np.where(reactive, 2.0, np.where(prob_mask & ~latch_cfg, prob, 0.0))
+        # ones always (draws are below 1), probabilistic ones with p, the
+        # others never
+        self.react_p = np.where(reactive, 2.0, np.where(prob_mask, prob, 0.0))
 
         # agents that do not sense never trigger; when every sensing agent
         # has the same thresholds, the trigger is one int for the whole fleet
@@ -658,23 +647,13 @@ class _Fleet:
         self.shift_steps = [0] if scenario.record_shifts else None
         self.shift_values = [np.zeros(k, dtype=np.int32)]
 
-    def react(self, t, trigger, reacts, own, commands, latch_dirty) -> np.ndarray:
+    def react(self, t, trigger, reacts, commands) -> np.ndarray:
         """Run the rules of dispatching step t (the vectorized twin of
-        ``agents.agent_step``): latch episodes, applied moves, the override
-        and the clip.  Returns the shifts before the clip.
+        ``agents.agent_step``): applied moves, the override and the clip.
+        Returns the shifts before the clip.
 
-        ``own`` holds each cohort's draw, ``reacts`` whether it reacts to
-        the trigger, and ``latch_dirty`` whether the step before dispatched,
-        which a latch episode needs to go on.
+        ``reacts`` holds whether each cohort reacts to the trigger.
         """
-        if self.has_latch:
-            if not latch_dirty:
-                self.latch_side, self.latch_react = np.zeros(self.k, np.int64), np.zeros(self.k, bool)
-            active = self.latched & (trigger != 0)
-            new_episode = active & (self.latch_side != trigger)
-            self.latch_react = np.where(new_episode, own < self.prob, self.latch_react) & active
-            self.latch_side = np.where(active, trigger, 0)
-            reacts = reacts | self.latch_react
         applied = np.where(reacts, trigger, 0)
         if commands is not None:
             applied = applied + commands
@@ -693,7 +672,7 @@ class _Fleet:
         return moved
 
     def patch(self, t, movers, trigger, rows, i) -> None:
-        """Move the windows of ``movers``, plain probabilistic cohorts, at
+        """Move the windows of ``movers``, probabilistic cohorts, at
         step t of an open free-run block, and rewrite their columns of
         ``rows[i:]``, the block's rows from t on."""
         shift, nxt, run_end, uniform = self.shift, self.nxt, self.run_end, self.uniform_thresholds

@@ -246,10 +246,12 @@ def _read_trace(fh) -> Trace:
     if not line:
         raise ValueError("empty CSV file")
     header = line.rstrip("\r\n").split(",")
-    if tuple(header[: len(_BASE_COLUMNS)]) != _BASE_COLUMNS:
-        raise ValueError(
-            f"bad CSV header: expected columns {','.join(_BASE_COLUMNS)}, got {','.join(header)}"
-        )
+    # repr shows a column's invisible characters
+    for i, expected in enumerate(_BASE_COLUMNS):
+        got = header[i] if i < len(header) else None
+        if got != expected:
+            got = "missing" if got is None else repr(got)
+            raise ValueError(f"bad CSV header: column {i} is {got}, expected {expected!r}")
     for i, name in enumerate(header[len(_BASE_COLUMNS) :]):
         if name != f"shift_{i}":
             raise ValueError(f"bad shift column name {name!r}")

@@ -79,7 +79,6 @@ _AGENT_FIELDS = {
     "phase": (int, None),
     "rule": (_to_rule, ...),
     "p": (float, None),
-    "p_latch": (_to_bool, None),
     "max_shift": (int, None),
     "v_low": (float, None),
     "v_high": (float, None),

@@ -49,7 +49,6 @@ def build_scenario(
     sensing_delay=3,
     phases=None,
     rules=None,
-    p_latch=False,
     record_shifts=True,
 ):
     """Small scenario in the same regime as the reference files."""
@@ -69,7 +68,6 @@ def build_scenario(
             band.v_high,
             p=p,
             max_shift=max_shift,
-            p_latch=p_latch,
         )
         for i in range(n)
     )

@@ -21,9 +21,8 @@ from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
 
 
 def cfg(rule=RuleKind.REACTIVE, period=10, on_steps=5, phase=0, v_low=9.0, v_high=9.2,
-        p=1.0, max_shift=None, p_latch=False):
-    return AgentConfig(period, on_steps, phase, rule, v_low, v_high,
-                       p=p, max_shift=max_shift, p_latch=p_latch)
+        p=1.0, max_shift=None):
+    return AgentConfig(period, on_steps, phase, rule, v_low, v_high, p=p, max_shift=max_shift)
 
 
 IN_BAND = 9.1
@@ -210,32 +209,6 @@ class TestCommanded:
         assert state.pending is None
         after, _ = agent_step(c, state, 1, IN_BAND, 0.0)
         assert after.shift == state.shift
-
-
-class TestLatchedProbabilistic:
-    def test_one_draw_decides_the_whole_episode(self):
-        c = cfg(RuleKind.PROBABILISTIC, p=0.5, p_latch=True)
-        # first draw loses (0.7 >= p): the whole low episode is sat out,
-        # even though later draws would win
-        state = AgentState()
-        state, _ = agent_step(c, state, 0, LOW, 0.7)
-        assert state.shift == 0
-        state, _ = agent_step(c, state, 1, LOW, 0.1)
-        assert state.shift == 0
-        # back in band ends the episode; the next episode redraws and wins
-        state, _ = agent_step(c, state, 2, IN_BAND, 0.9)
-        state, _ = agent_step(c, state, 3, LOW, 0.1)
-        assert state.shift == 1
-        state, _ = agent_step(c, state, 4, LOW, 0.9)  # still latched in
-        assert state.shift == 2
-
-    def test_side_flip_is_a_new_episode(self):
-        c = cfg(RuleKind.PROBABILISTIC, p=0.5, p_latch=True)
-        state = AgentState()
-        state, _ = agent_step(c, state, 0, LOW, 0.1)
-        assert state.shift == 1
-        state, _ = agent_step(c, state, 1, HIGH, 0.9)  # new episode, draw loses
-        assert state.shift == 1
 
 
 def test_plan_is_not_equal_to_another_type():

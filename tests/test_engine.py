@@ -207,11 +207,10 @@ def small_fleets(draw):
         record_shifts=True,
     )
     offsets = draw(st.lists(st.sampled_from([0.0, 0.0, -0.02, 0.02]), min_size=n, max_size=n))
-    latches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     periods = draw(st.lists(st.sampled_from([period, draw(periods)]), min_size=n, max_size=n))
     agents = tuple(
-        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, p_latch=latch, **_with_period(a, q))
-        for a, d, latch, q in zip(sc.agents, offsets, latches, periods)
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, **_with_period(a, q))
+        for a, d, q in zip(sc.agents, offsets, periods)
     )
     return replace(sc, agents=agents)
 
@@ -247,11 +246,6 @@ class TestReferenceEquivalence:
                             t_start=40, t_end=120)
         assert traces_equal(run(sc), run_reference(sc))
 
-    def test_latched_probabilistic(self):
-        sc = build_scenario(RuleKind.PROBABILISTIC, n=6, horizon=200, p=0.5, p_latch=True,
-                            t_start=40, t_end=120)
-        assert traces_equal(run(sc), run_reference(sc))
-
     def test_saturating_shifts(self):
         sc = build_scenario(RuleKind.REACTIVE, n=5, horizon=250, max_shift=3,
                             t_start=40, t_end=120)
@@ -282,7 +276,7 @@ class TestReferenceEquivalence:
 def lumpable_fleets(draw):
     """Fleets of many copies of a few deterministic agents, drawn from a few
     phases, with singletons and near-copies that must not share a trajectory:
-    probabilistic (some latched) and commanded agents, and agents that differ
+    probabilistic and commanded agents, and agents that differ
     from a copy only in thresholds, ``max_shift``, period or circuit branch."""
     n = draw(st.integers(6, 30))
     periods = st.integers(2, 10) | st.integers(16, 40)
@@ -311,11 +305,10 @@ def lumpable_fleets(draw):
     )
     offsets = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.015]), min_size=n, max_size=n))
     max_shifts = draw(st.lists(st.sampled_from([1, 1, 3]), min_size=n, max_size=n))
-    latches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     periods = draw(st.lists(st.sampled_from([period] * 3 + [draw(periods)]), min_size=n, max_size=n))
     agents = tuple(
-        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m, p_latch=latch, **_with_period(a, q))
-        for a, d, m, latch, q in zip(sc.agents, offsets, max_shifts, latches, periods)
+        replace(a, v_low=a.v_low + d, v_high=a.v_high + d, max_shift=m, **_with_period(a, q))
+        for a, d, m, q in zip(sc.agents, offsets, max_shifts, periods)
     )
     sc = replace(sc, agents=agents)
     if not controller:
@@ -478,9 +471,9 @@ def free_machines(draw):
 
 
 class TestFreeRunBlocks:
-    """Steps that move no shift, issue no instruction and touch no latch
-    state run in blocks whose connection vectors come in closed form; they
-    must be those of the one-step machine."""
+    """Steps that move no shift and issue no instruction run in blocks whose
+    connection vectors come in closed form; they must be those of the
+    one-step machine."""
 
     @settings(max_examples=300, deadline=None)
     @given(free_machines())
@@ -810,35 +803,38 @@ class TestLimitCycles:
 # open and close, and a patch's move of one cohort.  B's row follows the
 # draw layout: making the draws independent re-derives it, as it re-records
 # B's digests.
+# calls of each engine helper, and of the rule dispatch ``_Fleet.react``, per
+# shipped scenario
 ADVANCE_CALLS = {
-    "a": dict(_cycle_step=1745, _copy_periods=2, uniform_draws=0, controller_plan=0,
-              _free_run_rows=0, _free_run_state=0, _move_in_block=0),
-    "b": dict(_cycle_step=225, _copy_periods=0, uniform_draws=8000, controller_plan=0,
-              _free_run_rows=108, _free_run_state=107, _move_in_block=2652),
-    "c": dict(_cycle_step=22, _copy_periods=0, uniform_draws=0, controller_plan=8000,
-              _free_run_rows=101, _free_run_state=100, _move_in_block=0),
+    "a": {"_cycle_step": 1745, "_copy_periods": 2, "uniform_draws": 0, "controller_plan": 0,
+          "_free_run_rows": 0, "_free_run_state": 0, "_move_in_block": 0, "_Fleet.react": 1353},
+    "b": {"_cycle_step": 225, "_copy_periods": 0, "uniform_draws": 8000, "controller_plan": 0,
+          "_free_run_rows": 108, "_free_run_state": 107, "_move_in_block": 2652, "_Fleet.react": 218},
+    "c": {"_cycle_step": 22, "_copy_periods": 0, "uniform_draws": 0, "controller_plan": 8000,
+          "_free_run_rows": 101, "_free_run_state": 100, "_move_in_block": 0, "_Fleet.react": 14},
 }
 
 
 @pytest.mark.parametrize("name", sorted(ADVANCE_CALLS))
 def test_each_advance_path_does_its_pinned_work_on_the_shipped_scenarios(monkeypatch, name):
-    # traces alone cannot tell a run that closes its blocks early, or copies
-    # less, from one that does not; these counts can
+    # traces alone cannot tell a run that closes its blocks early, copies
+    # less or dispatches a quiet step, from one that does not; these counts can
     import reflexgrid.engine
 
     calls = dict.fromkeys(ADVANCE_CALLS[name], 0)
 
-    def counting(attr):
-        helper = getattr(reflexgrid.engine, attr)
-
+    def counting(path, helper):
         def counted(*args):
-            calls[attr] += 1
+            calls[path] += 1
             return helper(*args)
 
         return counted
 
-    for attr in calls:
-        monkeypatch.setattr(reflexgrid.engine, attr, counting(attr))
+    for path in calls:
+        *outer, attr = path.split(".")
+        # a method is patched on its class, so that every instance counts
+        owner = getattr(reflexgrid.engine, outer[0]) if outer else reflexgrid.engine
+        monkeypatch.setattr(owner, attr, counting(path, getattr(owner, attr)))
     run(load_scenario(SCENARIOS / f"scenario_{name}.cfg").scenario)
     assert calls == ADVANCE_CALLS[name]
 

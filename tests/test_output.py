@@ -307,6 +307,24 @@ def test_byte_order_mark_is_dropped(tmp_path, trace):
         assert np.array_equal(getattr(loaded, name), getattr(trace, name))
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        # a zero-width space prints as nothing; its escape names it
+        ("t\u200b,v_source,v_load,i_total,n_flex_on", "column 0 is 't\\u200b', expected 't'"),
+        ("t,v_src,v_load,i_total,n_flex_on", "column 1 is 'v_src', expected 'v_source'"),
+        ("t,v_source", "column 2 is missing, expected 'v_load'"),
+    ],
+    ids=["zero_width_space", "wrong_name", "missing"],
+)
+def test_bad_header_names_its_first_wrong_column(tmp_path, header, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n0,1.0,1.0,1.0,0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"bad CSV header: {message}"
+
+
 def test_out_of_order_step_names_its_row_once(tmp_path, trace):
     path = tmp_path / "bad.csv"
     lines = trace_to_csv(trace).splitlines()

@@ -55,12 +55,24 @@ def test_minimal_scenario(
     assert all(a.v_low == sc.band.v_low and a.v_high == sc.band.v_high for a in sc.agents)
 
 
-def test_unknown_key_reports_line_number():
-    bad = MINIMAL.replace("period = 10", "perod = 10")
+@pytest.mark.parametrize(
+    "bad, line, message",
+    [
+        pytest.param(MINIMAL.replace("period = 10", "perod = 10"), 11,
+                     "unknown key 'perod' in section [agents]", id="perod"),
+        # a probabilistic appliance draws once per triggering step; the file
+        # format has no other mode
+        pytest.param(MINIMAL.replace("rule = reactive", "rule = reactive\np_latch = true"), 14,
+                     "unknown key 'p_latch' in section [agents]", id="p_latch-fleet"),
+        pytest.param(MINIMAL + "\n[agent.3]\np_latch = true\n", 20,
+                     "unknown key 'p_latch' in section [agent.3]", id="p_latch-agent"),
+    ],
+)
+def test_unknown_key_reports_line_number(bad, line, message):
     with pytest.raises(ScenarioFileError) as exc:
         parse_scenario_text(bad)
-    assert exc.value.line == 11
-    assert "perod" in str(exc.value)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_unknown_section_rejected():
@@ -232,7 +244,6 @@ AGENT_FIELD_VALUES = {
     "phase": ("7", 7),
     "rule": ("passive", RuleKind.PASSIVE),
     "p": ("0.25", 0.25),
-    "p_latch": ("true", True),
     "max_shift": ("4", 4),
     "v_low": ("1.0", 1.0),
     "v_high": ("20.0", 20.0),
@@ -272,7 +283,7 @@ def test_phase_is_set_per_agent_only():
 
 def test_fleet_agents_share_one_config_per_phase(monkeypatch):
     text = MINIMAL.replace("count = 10", "count = 1000").replace("period = 10", "period = 100")
-    text += "\n[agent.5]\nrule = passive\n\n[agent.905]\np_latch = true\n"
+    text += "\n[agent.5]\nrule = passive\n\n[agent.905]\nmax_shift = 7\n"
     post_init = AgentConfig.__post_init__
     calls = []
 
@@ -289,7 +300,7 @@ def test_fleet_agents_share_one_config_per_phase(monkeypatch):
     assert sc.agents[5] is not sc.agents[105] and sc.agents[905] is not sc.agents[105]
     fleet = {"period": 100, "on_steps": 5, "rule": RuleKind.REACTIVE,
              "v_low": sc.band.v_low, "v_high": sc.band.v_high}
-    overrides = {5: {"rule": RuleKind.PASSIVE}, 905: {"p_latch": True}}
+    overrides = {5: {"rule": RuleKind.PASSIVE}, 905: {"max_shift": 7}}
     for i in (0, 5, 99, 100, 105, 905, 999):
         expected = AgentConfig(**{"phase": i % 100, **fleet, **overrides.get(i, {})})
         assert sc.agents[i] == expected
