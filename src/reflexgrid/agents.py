@@ -32,7 +32,7 @@ pure; state is returned, never mutated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,17 +98,17 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Per-agent mutable part, carried between steps by the engine.
+    """Per-agent part that persists from one step to the next, as the
+    scalar ``agent_step`` carries it.
 
     ``shift`` is the accumulated postponement in steps (positive = delayed).
-    ``flex_connected``/``run_remaining`` are the cycle machine: whether the
-    flexible load is running and for how many more steps.  ``override`` is
-    the commanded connection mask (-1 suppressed, 0 natural, +1 forced on).
+    ``run_remaining`` is the cycle machine: for how many more steps the
+    flexible load runs, so it is connected iff this is positive.
+    ``override`` is the commanded connection mask (-1 suppressed, 0
+    natural, +1 forced on).
     """
 
     shift: int = 0
-    pending: Action | None = None
-    flex_connected: bool = False
     run_remaining: int = 0
     override: int = 0
 
@@ -117,11 +117,7 @@ class AgentState:
         # machine state as of the step before t=0, so that stepping at t=0
         # lands exactly on the passive schedule
         pos = (-1 - config.phase) % config.period
-        connected = pos < config.on_steps
-        return AgentState(
-            flex_connected=connected,
-            run_remaining=config.on_steps - pos if connected else 0,
-        )
+        return AgentState(run_remaining=max(config.on_steps - pos, 0))
 
 
 @dataclass(frozen=True)
@@ -166,17 +162,13 @@ def _clamped(shift: int, delta: int, max_shift: int) -> int:
     return max(-max_shift, min(max_shift, shift + delta))
 
 
-def _decide_shift(config: AgentConfig, state: AgentState, sensed_v: float, rng_draw: float) -> int:
+def _decide_shift(config: AgentConfig, state: AgentState, sensed_v: float, rng_draw: float, command: int) -> int:
     """Rule dispatch; returns the new shift."""
     shift = state.shift
     if config.rule is RuleKind.PASSIVE:
         return shift
     if config.rule is RuleKind.COMMANDED:
-        if state.pending is Action.POSTPONE:
-            shift = _clamped(shift, +1, config.max_shift)
-        elif state.pending is Action.ADVANCE:
-            shift = _clamped(shift, -1, config.max_shift)
-        return shift
+        return _clamped(shift, command, config.max_shift)
 
     if sensed_v < config.v_low:
         delta = +1
@@ -197,23 +189,22 @@ def agent_step(
     t: int,
     sensed_v: float,
     rng_draw: float,
+    command: int = 0,
 ) -> tuple[AgentState, bool]:
     """One step: apply the decision rule, then move the cycle machine.
 
     Returns the successor state and whether the flexible load is connected
     for this step.  ``rng_draw`` must be supplied for every rule (uniform in
     [0, 1)); deterministic rules ignore it, which keeps draw streams
-    rule-independent.
+    rule-independent.  ``command`` is this step's controller instruction in
+    the code of ``Plan.actions`` (+1 postpone, -1 advance, 0 hold); only a
+    commanded agent obeys it.
     """
-    shift = _decide_shift(config, state, sensed_v, rng_draw)
+    shift = _decide_shift(config, state, sensed_v, rng_draw, command)
 
-    commanded = config.rule is RuleKind.COMMANDED
     override = state.override
-    if commanded:
-        if state.pending is Action.POSTPONE:
-            override = max(override - 1, -1)
-        elif state.pending is Action.ADVANCE:
-            override = min(override + 1, 1)
+    if config.rule is RuleKind.COMMANDED:
+        override = max(-1, min(1, override - command))
         # instructions steer the connection mask only; the schedule free-runs
         sweep = 1
         pos = (t - config.phase) % config.period
@@ -223,32 +214,15 @@ def agent_step(
         sweep = 1 - (shift - state.shift)
         pos = (t - config.phase - shift) % config.period
 
-    connected = state.flex_connected
-    run = state.run_remaining
-    if connected:
-        run -= 1
-        if run <= 0:
-            connected, run = False, 0
-    if not connected and pos < sweep and pos < config.on_steps:
+    run = max(state.run_remaining - 1, 0)
+    if run == 0 and pos < sweep and pos < config.on_steps:
         # the window's opening edge was crossed this step: start a run that
         # completes at the scheduled window end
-        connected = True
         run = config.on_steps - pos
 
-    flex_on = (override > 0) if (commanded and override != 0) else connected
-    new_state = AgentState(
-        shift=shift,
-        pending=None,
-        flex_connected=connected,
-        run_remaining=run,
-        override=override,
-    )
-    return new_state, flex_on
-
-
-def deposit_instruction(state: AgentState, action: Action) -> AgentState:
-    """Queue a controller instruction; HOLD leaves no pending action."""
-    return replace(state, pending=None if action is Action.HOLD else action)
+    # only a commanded agent ever moves its override off 0
+    flex_on = (override > 0) if override != 0 else run > 0
+    return AgentState(shift=shift, run_remaining=run, override=override), flex_on
 
 
 def controller_plan(

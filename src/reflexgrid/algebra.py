@@ -330,6 +330,12 @@ def parse(text: str) -> Polynomial:
     """Parse expression text into a normalized polynomial.
 
     Round-trips with the canonical form that ``str`` prints:
-    ``parse(str(p)) == p`` for every polynomial ``p``.
+    ``parse(str(p)) == p`` for every polynomial ``p``.  Nesting deeper
+    than the interpreter's recursion limit allows raises ``ExpressionError``
+    at the token where the parser ran out of stack.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", parser.peek().pos) from None

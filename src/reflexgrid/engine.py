@@ -2,8 +2,8 @@
 
 Each step of ``run``'s one loop: compute the source voltage from the
 disturbance schedule, hand every agent the load-bus voltage recorded
-``sensing_delay`` steps ago, let the controller (if any) deposit
-instructions, advance every agent, then solve the circuit and record.
+``sensing_delay`` steps ago, let the controller (if any) plan this
+step's instructions, advance every agent, then solve the circuit and record.
 ``run`` keeps only that per-step core; what runs once per run, per
 free-run block patch, per dispatching step, per checkpoint or per copy is
 a method of ``_Fleet`` (the cohorts' constants and state) or ``_Watch``
@@ -936,12 +936,19 @@ def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metric
 
     Band crossings count edge transitions between consecutive samples, per
     edge (a single-step jump across the whole band crosses both edges).
-    ``settled`` checks the last 10% of the window.
+    ``settled`` checks the last 10% of the window.  A ``v_load`` that is
+    not finite inside the window is refused, since it compares false with
+    both band edges and would read as inside the band.
     """
     w_start, w_end = window
     if not 0 <= w_start < w_end <= trace.horizon:
         raise ValueError(f"window [{w_start}, {w_end}) invalid for horizon {trace.horizon}")
     v = trace.v_load[w_start:w_end]
+    # the extremes are NaN or infinite iff some value is
+    v_min, v_max = float(v.min()), float(v.max())
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        t = w_start + int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"v_load at step {t} is not finite: {float(v[t - w_start])!r}")
     below = v < band.v_low
     above = v > band.v_high
     outside = below | above
@@ -952,8 +959,8 @@ def compute_metrics(trace: Trace, band: Band, window: tuple[int, int]) -> Metric
     return Metrics(
         outside_band_fraction=float(outside.mean()),
         band_crossings=crossings,
-        max_overshoot=max(0.0, float(v.max()) - band.v_high),
-        max_undershoot=max(0.0, band.v_low - float(v.min())),
+        max_overshoot=max(0.0, v_max - band.v_high),
+        max_undershoot=max(0.0, band.v_low - v_min),
         settled=bool(~outside[-tail:].any()),
     )
 

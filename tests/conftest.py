@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reflexgrid.agents import Action, AgentConfig, AgentState, Band, RuleKind, agent_step, controller_plan, deposit_instruction
+from reflexgrid.agents import AgentConfig, AgentState, Band, RuleKind, agent_step, controller_plan
 from reflexgrid.circuit import CircuitConfig, solve
 from reflexgrid.engine import (
     ControllerConfig,
@@ -90,7 +90,7 @@ def run_reference(scenario: Scenario) -> Trace:
     """Per-agent replay of the engine's step recipe; the slow twin."""
     n = scenario.n_agents
     states = [AgentState.initial(cfg) for cfg in scenario.agents]
-    flex_on = [st.flex_connected for st in states]
+    flex_on = [st.run_remaining > 0 for st in states]
     v_init = initial_sensed_voltage(scenario)
     delay = scenario.sensing_delay
     ctrl = scenario.controller
@@ -105,15 +105,15 @@ def run_reference(scenario: Scenario) -> Trace:
         vs = source_voltage(scenario, t)
         sensed = float(v_load[t - delay]) if t >= delay else v_init
 
+        commands = [0] * n
         if ctrl is not None and t % ctrl.control_interval == 0:
             plan = controller_plan(sensed, ctrl.v_nominal, scenario.band, scenario.circuit, vs, flex_on)
-            for ins in plan:
-                states[ins.agent_id] = deposit_instruction(states[ins.agent_id], ins.action)
+            commands = plan.actions.tolist()
 
         draws = uniform_draws(scenario.seed, t, n)
         flex_on = []
         for i, cfg in enumerate(scenario.agents):
-            states[i], on = agent_step(cfg, states[i], t, sensed, float(draws[i]))
+            states[i], on = agent_step(cfg, states[i], t, sensed, float(draws[i]), commands[i])
             flex_on.append(on)
 
         sol = solve(scenario.circuit, vs, flex_on)

@@ -14,7 +14,6 @@ from reflexgrid.agents import (
     RuleKind,
     agent_step,
     controller_plan,
-    deposit_instruction,
     desired_load,
 )
 from reflexgrid.circuit import Branch, CircuitConfig, v_load_for_count
@@ -171,13 +170,11 @@ class TestCycleMachine:
 class TestCommanded:
     def test_instructions_move_shift_and_override(self):
         c = cfg(RuleKind.COMMANDED)
-        state = deposit_instruction(AgentState.initial(c), Action.POSTPONE)
-        state, on = agent_step(c, state, 0, LOW, 0.0)
+        state, on = agent_step(c, AgentState.initial(c), 0, LOW, 0.0, +1)
         assert state.shift == 1
         assert state.override == -1
         assert on is False  # suppressed despite the schedule wanting it on
-        state = deposit_instruction(state, Action.ADVANCE)
-        state, on = agent_step(c, state, 1, LOW, 0.0)
+        state, on = agent_step(c, state, 1, LOW, 0.0, -1)
         assert state.shift == 0
         assert state.override == 0
         assert on is True  # back on the natural schedule, run still going
@@ -188,8 +185,7 @@ class TestCommanded:
         for t in range(7):
             state, on = agent_step(c, state, t, IN_BAND, 0.0)
         assert on is False
-        state = deposit_instruction(state, Action.ADVANCE)
-        state, on = agent_step(c, state, 7, IN_BAND, 0.0)
+        state, on = agent_step(c, state, 7, IN_BAND, 0.0, -1)
         assert on is True
         assert state.override == 1
 
@@ -198,17 +194,25 @@ class TestCommanded:
         state, _ = agent_step(c, AgentState(), 0, LOW, 0.0)
         assert state.shift == 0
 
-    def test_hold_clears_pending(self):
-        state = deposit_instruction(AgentState(pending=Action.POSTPONE), Action.HOLD)
-        assert state.pending is None
-
-    def test_pending_consumed_once(self):
+    def test_command_moves_shift_on_its_own_step_only(self):
         c = cfg(RuleKind.COMMANDED)
-        state = deposit_instruction(AgentState(), Action.POSTPONE)
-        state, _ = agent_step(c, state, 0, IN_BAND, 0.0)
-        assert state.pending is None
+        state, _ = agent_step(c, AgentState(), 0, IN_BAND, 0.0, +1)
+        assert state.shift == 1
         after, _ = agent_step(c, state, 1, IN_BAND, 0.0)
         assert after.shift == state.shift
+
+
+@pytest.mark.parametrize("command", [+1, -1])
+@pytest.mark.parametrize("rule", [RuleKind.PASSIVE, RuleKind.REACTIVE, RuleKind.PROBABILISTIC])
+def test_other_rules_ignore_the_command(rule, command):
+    # every sensed side, a draw either side of p, and a run through windows
+    c = cfg(rule, p=0.5, max_shift=3)
+    state = AgentState.initial(c)
+    for t, sensed in enumerate([LOW, IN_BAND, HIGH, LOW, LOW, LOW, LOW, HIGH] * 4):
+        draw = 0.25 if t % 3 else 0.75
+        commanded = agent_step(c, state, t, sensed, draw, command)
+        state, on = agent_step(c, state, t, sensed, draw)
+        assert commanded == (state, on)
 
 
 def test_plan_is_not_equal_to_another_type():

@@ -123,6 +123,15 @@ class TestParser:
     def test_whitespace_ignored(self):
         assert parse(" T ( 1 + x ) ") == parse("T(1+x)")
 
+    def test_deep_nesting_is_an_expression_error(self):
+        depth = 5000
+        with pytest.raises(ExpressionError, match=r"^expression nested too deeply \(at position \d+\)$") as exc:
+            parse("(" * depth + "T" + ")" * depth)
+        assert 0 < exc.value.position < depth
+
+    def test_moderate_nesting_still_parses(self):
+        assert parse("(" * 100 + "T" + ")" * 100) == words("T")
+
 
 class TestOperations:
     def test_add_is_union(self):

@@ -585,6 +585,11 @@ class TestAlgebra:
         assert main(["algebra", "eval", "T(1+x"]) == 1
         assert "position" in capsys.readouterr().err
 
+    def test_deep_nesting_exits_1_with_one_line(self, capsys):
+        assert main(["algebra", "eval", "(" * 2000 + "T" + ")" * 2000]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: expression nested too deeply \(at position \d+\)\n", err)
+
     def test_bad_observer_atom_exits_1(self, capsys):
         assert main(["algebra", "awareness", "T", "not-an-atom"]) == 1
 
@@ -636,6 +641,15 @@ class TestMetrics:
         path.write_text(text)
         assert main(["metrics", str(path), "--v-low", "8.0", "--v-high", "9.0"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_voltage_exits_1_naming_its_step(self, tmp_path, capsys):
+        # a NaN bus voltage would otherwise read as inside the band and settled
+        path = tmp_path / "nan.csv"
+        path.write_text("t,v_source,v_load,i_total,n_flex_on\n0,1.0,1.0,1.0,0\n1,1.0,nan,1.0,0\n")
+        assert main(["metrics", str(path), "--v-low", "0.5", "--v-high", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: v_load at step 1 is not finite: nan\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("t_end, window", [(80, (80, 200)), (200, (0, 200))])
     def test_window_follows_the_sag_or_is_the_whole_run(self, t_end, window):

@@ -800,11 +800,9 @@ class TestLimitCycles:
 
 # calls of each helper that advances time, per shipped scenario: the one-step
 # machine, the copied periods, the draws, the planner, a free-run block's
-# open and close, and a patch's move of one cohort.  B's row follows the
-# draw layout: making the draws independent re-derives it, as it re-records
-# B's digests.
-# calls of each engine helper, and of the rule dispatch ``_Fleet.react``, per
-# shipped scenario
+# open and close, a patch's move of one cohort, and the rule dispatch
+# ``_Fleet.react``.  B's row follows the draw layout: making the draws
+# independent re-derives it, as it re-records B's digests.
 ADVANCE_CALLS = {
     "a": {"_cycle_step": 1745, "_copy_periods": 2, "uniform_draws": 0, "controller_plan": 0,
           "_free_run_rows": 0, "_free_run_state": 0, "_move_in_block": 0, "_Fleet.react": 1353},
@@ -1115,6 +1113,22 @@ class TestComputeMetrics:
             compute_metrics(trace, Band(9.0, 9.2), (0, 11))
         with pytest.raises(ValueError):
             compute_metrics(trace, Band(9.0, 9.2), (-1, 5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [20, 50, 79])  # the window's first, a middle and its last step
+    def test_non_finite_voltage_in_the_window_is_refused(self, value, step):
+        # NaN compares false with both band edges, so it would read as inside
+        v = np.full(100, 9.1)
+        v[step] = value
+        with pytest.raises(ValueError, match=f"^v_load at step {step} is not finite: {value!r}$"):
+            compute_metrics(self.make_trace(v), Band(9.0, 9.2), (20, 80))
+
+    @pytest.mark.parametrize("step", [0, 19, 80, 99])
+    def test_non_finite_voltage_outside_the_window_changes_nothing(self, step):
+        v = np.where(np.arange(100) % 7 == 0, 8.5, 9.1)
+        clean = compute_metrics(self.make_trace(v), Band(9.0, 9.2), (20, 80))
+        v[step] = np.nan
+        assert compute_metrics(self.make_trace(v), Band(9.0, 9.2), (20, 80)) == clean
 
 
 class TestCalibration:
